@@ -96,11 +96,6 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Spans currently buffered — the analyzer's working-set size.
-    pub fn pending_spans(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Consumes one event. Errors on a non-dense track registration, a
     /// span on an unregistered track, or a span starting before the
     /// finalized frontier (a trace that is not epoch-ordered — use the

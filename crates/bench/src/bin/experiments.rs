@@ -33,8 +33,10 @@
 //! Lines print in submission order — deterministic for any `--jobs`.
 
 use std::env;
+use std::path::Path;
 use std::time::Instant;
 
+use wmpt_bench::Runner;
 use wmpt_core::Heartbeat;
 use wmpt_obs::{MetricKey, MetricShards, Tracer};
 use wmpt_par::{available_jobs, ParPool};
@@ -164,22 +166,37 @@ fn main() {
     };
     // Run experiments concurrently; each records its host wall-clock into
     // its own metric shard, and results print in submission order.
+    // Experiments with a report file measure once and hand back both the
+    // table and the report; the files are written below, in order.
     let pool = ParPool::new(jobs);
     let shards = MetricShards::new(selected.len());
-    let timed: Vec<(f64, String)> = pool.map_indexed(selected.len(), |i| {
+    let timed = pool.map_indexed(selected.len(), |i| {
         let (_, runner) = *selected[i];
         let t0 = Instant::now();
-        let out = runner();
+        let (out, artifact) = match runner {
+            Runner::Table(run) => (run(), None),
+            Runner::Report(file, run) => {
+                let (out, report) = run();
+                (out, Some((file, report.render() + "\n")))
+            }
+        };
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         shards.record(i, |r| r.observe(MetricKey::HistExperimentHostMs, ms));
-        (ms, out)
+        (ms, out, artifact)
     });
     // The heartbeat ticks per completed experiment in submission order;
     // no span sink is attached at this level, so the simulated-state
     // fields of the line read zero (see the module docs).
     let mut hb = progress.map(Heartbeat::new);
     let pulse = Tracer::new();
-    for ((name, _), (ms, out)) in selected.iter().zip(&timed) {
+    for ((name, _), (ms, out, artifact)) in selected.iter().zip(&timed) {
+        if let Some((file, report)) = artifact {
+            let path = Path::new(".").join(file);
+            match std::fs::write(&path, report) {
+                Ok(()) => eprintln!("wrote {}", path.display()),
+                Err(e) => eprintln!("could not write {file}: {e}"),
+            }
+        }
         println!("################ {name} ################");
         println!("{out}");
         println!("[{name}: {ms:.1} ms host wall-clock]\n");

@@ -1,6 +1,6 @@
 //! GEMM-kernel roofline snapshot (`BENCH_kernels.json`).
 //!
-//! Times the blocked, panel-packed `gemm_f32` microkernel against the
+//! Times the blocked, panel-packed GEMM microkernel against the
 //! retained naive reference on the five Table-II element-wise GEMM
 //! shapes at `F(2×2, 3×3)` — per layer, `m = (H/2)·(W/2)` tiles,
 //! `k = I`, `n = J` — and reports GFLOP/s next to a measured compute
@@ -14,8 +14,6 @@
 //! deliberately not gated, mirroring the `BENCH_par.json` rule.
 
 use std::hint::black_box;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use wmpt_models::table2_layers;
@@ -208,15 +206,6 @@ pub fn kernels_report() -> Value {
     kernels_report_with(REPS)
 }
 
-/// Writes an already-measured report as `BENCH_kernels.json` into `dir`
-/// and returns the path (so the written file and the rendered table come
-/// from the *same* measurement run).
-pub fn write_kernels_report(dir: &Path, report: &Value) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_kernels.json");
-    std::fs::write(&path, report.render() + "\n")?;
-    Ok(path)
-}
-
 /// Renders a written report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
@@ -253,14 +242,11 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the sweep, writes `BENCH_kernels.json`, and returns the table.
-pub fn run() -> String {
+/// Runs the sweep once and returns the table together with the report it
+/// renders; the `experiments` binary writes that report as `BENCH_kernels.json`.
+pub fn run_with_report() -> (String, Value) {
     let report = kernels_report();
-    match write_kernels_report(Path::new("."), &report) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_kernels.json: {e}"),
-    }
-    render(&report)
+    (render(&report), report)
 }
 
 #[cfg(test)]

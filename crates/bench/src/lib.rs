@@ -78,29 +78,65 @@ pub fn all_tsv_tables() -> Vec<report::Table> {
     ]
 }
 
+/// How an experiment runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Runner {
+    /// Returns the experiment's table.
+    Table(fn() -> String),
+    /// Returns the table together with the report it renders; the
+    /// `experiments` binary writes that report as the named `BENCH_*.json`
+    /// file into the working directory.
+    Report(&'static str, fn() -> (String, wmpt_obs::json::Value)),
+}
+
+impl Runner {
+    /// Runs the experiment and returns its table. A report is built but
+    /// written nowhere, so a library caller (a test, say) leaves the
+    /// working tree untouched.
+    pub fn table(self) -> String {
+        match self {
+            Runner::Table(run) => run(),
+            Runner::Report(_, run) => run().0,
+        }
+    }
+}
+
 /// An experiment entry: name plus its runner.
-pub type Experiment = (&'static str, fn() -> String);
+pub type Experiment = (&'static str, Runner);
 
 /// A named experiment, dispatchable from the `experiments` binary.
 pub fn all_experiments() -> Vec<Experiment> {
+    use Runner::{Report, Table};
     vec![
-        ("tables", tables::run as fn() -> String),
-        ("fig01", fig01::run),
-        ("fig06", fig06::run),
-        ("fig07", fig07::run),
-        ("fig12", fig12::run),
-        ("fig14", fig14::run),
-        ("fig15", fig15::run),
-        ("fig16", fig16::run),
-        ("fig17", fig17::run),
-        ("fig18", fig18::run),
-        ("scalability", scalability::run),
-        ("comm_breakdown", comm_breakdown::run),
-        ("resilience", resilience::run),
-        ("par_speedup", par_speedup::run),
-        ("kernels", kernels::run),
-        ("serve_load", serve_load::run),
-        ("plan_search", plan_search::run),
+        ("tables", Table(tables::run)),
+        ("fig01", Table(fig01::run)),
+        ("fig06", Table(fig06::run)),
+        ("fig07", Table(fig07::run)),
+        ("fig12", Table(fig12::run)),
+        ("fig14", Table(fig14::run)),
+        ("fig15", Table(fig15::run)),
+        ("fig16", Table(fig16::run)),
+        ("fig17", Table(fig17::run)),
+        ("fig18", Table(fig18::run)),
+        ("scalability", Table(scalability::run)),
+        ("comm_breakdown", Table(comm_breakdown::run)),
+        ("resilience", Table(resilience::run)),
+        (
+            "par_speedup",
+            Report("BENCH_par.json", par_speedup::run_with_report),
+        ),
+        (
+            "kernels",
+            Report("BENCH_kernels.json", kernels::run_with_report),
+        ),
+        (
+            "serve_load",
+            Report("BENCH_serve.json", serve_load::run_with_report),
+        ),
+        (
+            "plan_search",
+            Report("BENCH_plan.json", plan_search::run_with_report),
+        ),
     ]
 }
 
@@ -143,5 +179,27 @@ mod tests {
         ] {
             assert!(names.contains(&expect), "missing experiment {expect}");
         }
+    }
+
+    #[test]
+    fn report_experiments_name_their_committed_files() {
+        // CI reads these files after an `experiments` run, and each has a
+        // baseline under `baselines/`.
+        let files: Vec<(&str, &str)> = all_experiments()
+            .into_iter()
+            .filter_map(|(name, runner)| match runner {
+                Runner::Report(file, _) => Some((name, file)),
+                Runner::Table(_) => None,
+            })
+            .collect();
+        assert_eq!(
+            files,
+            [
+                ("par_speedup", "BENCH_par.json"),
+                ("kernels", "BENCH_kernels.json"),
+                ("serve_load", "BENCH_serve.json"),
+                ("plan_search", "BENCH_plan.json"),
+            ]
+        );
     }
 }

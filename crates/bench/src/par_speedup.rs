@@ -8,8 +8,6 @@
 //! checksum of every output confirms the determinism contract: all jobs
 //! values must produce byte-identical f32 results.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use wmpt_obs::json::{num, obj, s, Value};
@@ -113,15 +111,6 @@ pub fn par_report() -> Value {
     ])
 }
 
-/// Writes an already-measured report as `BENCH_par.json` into `dir` and
-/// returns the path (so the written file and the rendered table come
-/// from the *same* measurement run).
-pub fn write_par_report(dir: &Path, report: &Value) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_par.json");
-    std::fs::write(&path, report.render() + "\n")?;
-    Ok(path)
-}
-
 /// Renders a written report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
@@ -152,14 +141,11 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the ladder, writes `BENCH_par.json`, and returns the table.
-pub fn run() -> String {
+/// Runs the ladder once and returns the table together with the report it
+/// renders; the `experiments` binary writes that report as `BENCH_par.json`.
+pub fn run_with_report() -> (String, Value) {
     let report = par_report();
-    match write_par_report(Path::new("."), &report) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_par.json: {e}"),
-    }
-    render(&report)
+    (render(&report), report)
 }
 
 #[cfg(test)]

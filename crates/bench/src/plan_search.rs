@@ -10,9 +10,6 @@
 //! Everything in the report is deterministic except `opt.search_ms`,
 //! which the gate's stable-key filter drops.
 
-use std::io;
-use std::path::{Path, PathBuf};
-
 use wmpt_core::{SystemConfig, SystemModel};
 use wmpt_noc::ClusterConfig;
 use wmpt_obs::json::{num, obj, s, Value};
@@ -111,13 +108,6 @@ pub fn plan_report() -> Value {
     ])
 }
 
-/// Writes `BENCH_plan.json` into `dir` and returns the path.
-pub fn write_plan_report(dir: &Path) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_plan.json");
-    std::fs::write(&path, plan_report().render() + "\n")?;
-    Ok(path)
-}
-
 /// Renders a written report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
@@ -166,14 +156,11 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the sweep, writes `BENCH_plan.json`, and returns the table.
-pub fn run() -> String {
+/// Runs the sweep once and returns the table together with the report it
+/// renders; the `experiments` binary writes that report as `BENCH_plan.json`.
+pub fn run_with_report() -> (String, Value) {
     let report = plan_report();
-    match write_plan_report(Path::new(".")) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_plan.json: {e}"),
-    }
-    render(&report)
+    (render(&report), report)
 }
 
 #[cfg(test)]

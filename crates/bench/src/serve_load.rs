@@ -16,8 +16,6 @@
 //! track are deterministic, and every record's stages must tile its
 //! extent exactly — queue wait and execution time are fully attributed.
 
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use wmpt_obs::json::{num, obj, parse, s, Value};
@@ -225,13 +223,6 @@ pub fn serve_report() -> Value {
     ])
 }
 
-/// Writes `BENCH_serve.json` into `dir` and returns the path.
-pub fn write_serve_report(dir: &Path) -> io::Result<PathBuf> {
-    let path = dir.join("BENCH_serve.json");
-    std::fs::write(&path, serve_report().render() + "\n")?;
-    Ok(path)
-}
-
 /// Renders a written report as the experiment's table.
 fn render(report: &Value) -> String {
     let mut out = String::new();
@@ -292,15 +283,12 @@ fn render(report: &Value) -> String {
     out
 }
 
-/// Runs the load generator, writes `BENCH_serve.json`, and returns the
-/// table.
-pub fn run() -> String {
+/// Runs the load generator once and returns the table together with the
+/// report it renders; the `experiments` binary writes that report as
+/// `BENCH_serve.json`.
+pub fn run_with_report() -> (String, Value) {
     let report = serve_report();
-    match write_serve_report(Path::new(".")) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
-    }
-    render(&report)
+    (render(&report), report)
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode, QuantizerConfig};
 use wmpt_tensor::{DataGen, Shape4, Tensor4};
 use wmpt_winograd::{
-    elementwise_gemm, relu, relu_backward, to_winograd_input, Pool2x2, PoolKind, WinogradLayer,
-    WinogradTransform,
+    elementwise_gemm_par, relu, relu_backward, to_winograd_input_par, Pool2x2, PoolKind,
+    WinogradLayer, WinogradTransform,
 };
 
 use crate::trainer::{fprop_distributed_par, gather_with_prediction, train_step_distributed_par};
@@ -107,15 +107,10 @@ impl WinogradNet {
     }
 
     /// Forward pass; `grid = None` runs centralized, `Some(cfg)` runs
-    /// every conv with the MPT partitioning.
-    pub fn forward(&self, x: &Tensor4, grid: Option<ClusterConfig>) -> Activations {
-        self.forward_with(x, grid, &ParPool::serial())
-    }
-
-    /// [`Self::forward`] executed over a host thread pool: centralized
-    /// convs use the layer's parallel phases, distributed convs map the
-    /// `N_c` logical clusters onto threads. Bit-identical to
-    /// [`Self::forward`] for any job count.
+    /// every conv with the MPT partitioning. Executed over a host thread
+    /// pool: centralized convs use the layer's pool-taking phases,
+    /// distributed convs map the `N_c` logical clusters onto threads.
+    /// Bit-identical for any job count.
     pub fn forward_with(
         &self,
         x: &Tensor4,
@@ -173,24 +168,9 @@ impl WinogradNet {
 
     /// One SGD step on MSE(score, target); returns the batch loss.
     /// `grid = None` trains centralized, `Some(cfg)` runs MPT-distributed
-    /// forward and weight updates for every conv layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets.len()` differs from the batch size.
-    pub fn train_step(
-        &mut self,
-        x: &Tensor4,
-        targets: &[f32],
-        lr: f32,
-        grid: Option<ClusterConfig>,
-    ) -> f64 {
-        self.train_step_with(x, targets, lr, grid, &ParPool::serial())
-    }
-
-    /// [`Self::train_step`] executed over a host thread pool (forward,
-    /// input-gradient and weight-gradient phases all fan out).
-    /// Bit-identical to [`Self::train_step`] for any job count.
+    /// forward and weight updates for every conv layer. Executed over a
+    /// host thread pool (forward, input-gradient and weight-gradient
+    /// phases all fan out); bit-identical for any job count.
     ///
     /// # Panics
     ///
@@ -284,10 +264,11 @@ impl WinogradNet {
     pub fn scores_with_prediction(&self, x: &Tensor4, levels: u32) -> (Vec<f32>, u64) {
         let mut cur = x.clone();
         let mut saved = 0u64;
+        let serial = ParPool::serial();
         for st in &self.stages {
             let tf = st.conv.transform().clone();
-            let wx = to_winograd_input(&cur, &tf);
-            let wy = elementwise_gemm(&wx, st.conv.weights());
+            let wx = to_winograd_input_par(&serial, &cur, &tf);
+            let wy = elementwise_gemm_par(&serial, &wx, st.conv.weights());
             let s = cur.shape();
             let out_shape = Shape4::new(s.n, st.conv.weights().out_chans, s.h, s.w);
             let sigma = wmpt_predict::sigma_of(&wy.data);
@@ -354,7 +335,7 @@ mod tests {
     fn forward_shapes_flow_through_pooling() {
         let net = WinogradNet::new(1, 2, &[4, 6], true);
         let (x, _) = dataset(2, 4);
-        let acts = net.forward(&x, None);
+        let acts = net.forward_with(&x, None, &ParPool::serial());
         // 8x8 -> conv -> pool 4x4 -> conv -> pool 2x2.
         assert_eq!(acts.features.shape(), Shape4::new(4, 6, 2, 2));
         assert_eq!(acts.scores.len(), 4);
@@ -364,10 +345,10 @@ mod tests {
     fn training_reduces_loss() {
         let mut net = WinogradNet::new(3, 2, &[4], true);
         let (x, t) = dataset(4, 8);
-        let first = net.train_step(&x, &t, 0.2, None);
+        let first = net.train_step_with(&x, &t, 0.2, None, &ParPool::serial());
         let mut last = first;
         for _ in 0..10 {
-            last = net.train_step(&x, &t, 0.2, None);
+            last = net.train_step_with(&x, &t, 0.2, None, &ParPool::serial());
         }
         assert!(last < first * 0.9, "loss {first} -> {last}");
     }
@@ -379,8 +360,8 @@ mod tests {
         let mut dist = central.clone();
         let grid = ClusterConfig::new(4, 2);
         for _ in 0..4 {
-            let lc = central.train_step(&x, &t, 0.05, None);
-            let ld = dist.train_step(&x, &t, 0.05, Some(grid));
+            let lc = central.train_step_with(&x, &t, 0.05, None, &ParPool::serial());
+            let ld = dist.train_step_with(&x, &t, 0.05, Some(grid), &ParPool::serial());
             wmpt_check::assert_approx_eq!(lc, ld, wmpt_check::Tol::CONV_F32, "loss");
         }
         let d = central.max_weight_diff(&dist);
@@ -392,7 +373,7 @@ mod tests {
         let (x, t) = dataset(7, 8);
         let reference = {
             let mut n = WinogradNet::new(8, 2, &[4], true);
-            n.train_step(&x, &t, 0.05, None);
+            n.train_step_with(&x, &t, 0.05, None, &ParPool::serial());
             n
         };
         for grid in [
@@ -401,7 +382,7 @@ mod tests {
             ClusterConfig::new(1, 8),
         ] {
             let mut n = WinogradNet::new(8, 2, &[4], true);
-            n.train_step(&x, &t, 0.05, Some(grid));
+            n.train_step_with(&x, &t, 0.05, Some(grid), &ParPool::serial());
             let d = n.max_weight_diff(&reference);
             assert!(d < 1e-3, "{grid}: diff {d}");
         }
@@ -412,7 +393,7 @@ mod tests {
         let net = WinogradNet::new(11, 2, &[4, 4], true);
         let (x, _) = dataset(12, 8);
         // Plain forward: scores after ReLU chain.
-        let plain = net.forward(&x, None).scores;
+        let plain = net.forward_with(&x, None, &ParPool::serial()).scores;
         let (gated, saved) = net.scores_with_prediction(&x, 64);
         for (a, b) in plain.iter().zip(&gated) {
             assert_eq!(a, b, "prediction changed an output score");
@@ -425,6 +406,6 @@ mod tests {
     fn target_length_validated() {
         let mut net = WinogradNet::new(9, 2, &[4], false);
         let (x, _) = dataset(10, 4);
-        let _ = net.train_step(&x, &[1.0], 0.1, None);
+        let _ = net.train_step_with(&x, &[1.0], 0.1, None, &ParPool::serial());
     }
 }

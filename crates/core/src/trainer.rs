@@ -13,10 +13,11 @@
 use wmpt_noc::ClusterConfig;
 use wmpt_par::ParPool;
 use wmpt_predict::{ActivationPredictor, PredictMode};
-use wmpt_tensor::ops::gemm_f32 as gemm;
+use wmpt_tensor::ops::gemm_f32_par;
 use wmpt_tensor::{Shape4, Tensor4};
 use wmpt_winograd::{
-    from_winograd_output, relu, to_winograd_input, WgTensor, WgWeights, WinogradLayer,
+    from_winograd_output_par, output_grad_to_winograd_par, relu, to_winograd_input_par, WgTensor,
+    WgWeights, WinogradLayer,
 };
 
 /// Returns the group that owns tile element `e` under `n_g` groups
@@ -49,40 +50,11 @@ pub fn slice_batch(x: &Tensor4, start: usize, len: usize) -> Tensor4 {
     out
 }
 
-/// Distributed forward propagation under a worker grid: the batch splits
-/// across `N_c` clusters and tile elements across `N_g` groups; worker
-/// `(g, c)` computes only the element-GEMMs its group owns, on its
-/// cluster's tiles, using only its group's weight shard.
-///
-/// Numerically identical to `layer.fprop(x)` — the property that makes
-/// MPT exact rather than approximate.
-///
-/// # Panics
-///
-/// Panics if the batch is not divisible by `N_c`.
-pub fn fprop_distributed(layer: &WinogradLayer, cfg: ClusterConfig, x: &Tensor4) -> Tensor4 {
-    let s = x.shape();
-    assert_eq!(
-        s.n % cfg.n_c,
-        0,
-        "batch {} must divide across {} clusters",
-        s.n,
-        cfg.n_c
-    );
-    let chunk = s.n / cfg.n_c;
-    let out_shape = Shape4::new(s.n, layer.weights().out_chans, s.h, s.w);
-    let mut out = Tensor4::zeros(out_shape);
-    let stride = chunk * out_shape.c * s.h * s.w;
-    for (c, region) in out.as_mut_slice().chunks_mut(stride).enumerate() {
-        fprop_cluster_into(layer, cfg, x, c, chunk, region);
-    }
-    out
-}
-
 /// Computes cluster `c`'s share of the distributed forward pass (its
 /// `chunk` images, all `N_g` group workers) into the cluster's contiguous
 /// NCHW output region. One cluster is independent of every other — the
-/// unit of fan-out shared by the serial loop and the parallel trainer.
+/// unit of fan-out of [`fprop_distributed_par`]. Runs on one thread (a
+/// serial pool), so a cluster task never spawns nested workers.
 fn fprop_cluster_into(
     layer: &WinogradLayer,
     cfg: ClusterConfig,
@@ -95,10 +67,11 @@ fn fprop_cluster_into(
     let s = x.shape();
     let w = layer.weights();
     let t2 = tf.t() * tf.t();
+    let serial = ParPool::serial();
     let xc = slice_batch(x, c * chunk, chunk);
     // Tile scattering: every worker of cluster c receives its group's
     // elements of the transformed input.
-    let wx = to_winograd_input(&xc, tf);
+    let wx = to_winograd_input_par(&serial, &xc, tf);
     let mut wy = WgTensor::zeros(t2, wx.tiles, w.out_chans);
     for g in 0..cfg.n_g {
         // Worker (g, c): for each element group g owns, one batched GEMM
@@ -106,7 +79,8 @@ fn fprop_cluster_into(
         // blocked kernel reduces each output in the same ascending-`i`
         // f64 order as the scalar loop it replaced — bit-identical.
         for e in (0..t2).filter(|e| elem_owner(*e, t2, cfg.n_g) == g) {
-            gemm(
+            gemm_f32_par(
+                &serial,
                 wx.elem_matrix(e),
                 wx.tiles,
                 wx.chans,
@@ -119,14 +93,20 @@ fn fprop_cluster_into(
         }
     }
     // Tile gathering + inverse transform at each tile's home worker.
-    let yc = from_winograd_output(&wy, tf, Shape4::new(chunk, w.out_chans, s.h, s.w));
+    let yc = from_winograd_output_par(&serial, &wy, tf, Shape4::new(chunk, w.out_chans, s.h, s.w));
     region.copy_from_slice(yc.as_slice());
 }
 
-/// Parallel [`fprop_distributed`]: the paper's `N_c` logical clusters map
-/// onto host threads (each cluster's batch chunk is an independent work
-/// unit writing a disjoint contiguous output region). Bit-identical to
-/// the serial version for any job count.
+/// Distributed forward propagation under a worker grid: the batch splits
+/// across `N_c` clusters and tile elements across `N_g` groups; worker
+/// `(g, c)` computes only the element-GEMMs its group owns, on its
+/// cluster's tiles, using only its group's weight shard.
+///
+/// Numerically identical to `layer.fprop_par(pool, x)` — the property
+/// that makes MPT exact rather than approximate. The `N_c` logical
+/// clusters map onto host threads (each cluster's batch chunk is an
+/// independent work unit writing a disjoint contiguous output region),
+/// so the result is bit-identical for any job count.
 ///
 /// # Panics
 ///
@@ -137,9 +117,6 @@ pub fn fprop_distributed_par(
     cfg: ClusterConfig,
     x: &Tensor4,
 ) -> Tensor4 {
-    if pool.jobs() <= 1 || cfg.n_c <= 1 {
-        return fprop_distributed(layer, cfg, x);
-    }
     let s = x.shape();
     assert_eq!(
         s.n % cfg.n_c,
@@ -158,68 +135,10 @@ pub fn fprop_distributed_par(
     out
 }
 
-/// Distributed `updateGrad` + SGD step: worker `(g, c)` produces the
-/// partial Winograd-domain weight gradient for its elements from its
-/// batch chunk; gradients are ring-reduced *within each group* (across
-/// the `N_c` clusters) — never across groups — and applied.
-///
-/// Numerically identical to centralized
-/// `layer.update_grad(x, dy); layer.apply_grad(...)`.
-///
-/// # Panics
-///
-/// Panics if the batch is not divisible by `N_c`.
-pub fn train_step_distributed(
-    layer: &mut WinogradLayer,
-    cfg: ClusterConfig,
-    x: &Tensor4,
-    dy: &Tensor4,
-    lr: f32,
-) {
-    let total = reduced_gradient_distributed(layer, cfg, x, dy);
-    layer.apply_grad(&total, lr);
-}
-
-/// The group-ring-reduced Winograd-domain weight gradient, computed with
-/// the MPT partitioning: worker `(g, c)` contributes its batch chunk's
-/// partial gradient for its group's elements; sums run within groups
-/// only.
-///
-/// # Panics
-///
-/// Panics if the batch is not divisible by `N_c`.
-pub fn reduced_gradient_distributed(
-    layer: &WinogradLayer,
-    cfg: ClusterConfig,
-    x: &Tensor4,
-    dy: &Tensor4,
-) -> WgWeights {
-    let s = x.shape();
-    assert_eq!(
-        s.n % cfg.n_c,
-        0,
-        "batch {} must divide across {} clusters",
-        s.n,
-        cfg.n_c
-    );
-    let chunk = s.n / cfg.n_c;
-    let t2 = layer.transform().t() * layer.transform().t();
-    let (i_ch, j_ch) = (layer.weights().in_chans, layer.weights().out_chans);
-    let mut total = WgWeights::zeros(t2, i_ch, j_ch);
-    for g in 0..cfg.n_g {
-        // The group's ring reduction: sum the partial gradients of the
-        // N_c workers holding this group's elements.
-        for c in 0..cfg.n_c {
-            worker_partial_grad_into(layer, cfg, x, dy, g, c, chunk, &mut total);
-        }
-    }
-    total
-}
-
 /// Accumulates worker `(g, c)`'s partial Winograd-domain weight gradient
 /// (its batch chunk, its group's elements) into `out`. The independent
-/// work unit of the `updateGrad` phase, shared by the serial loop and the
-/// parallel reduction.
+/// work unit of the `updateGrad` phase. Runs on one thread (a serial
+/// pool), so a worker task never spawns nested workers.
 #[allow(clippy::too_many_arguments)]
 fn worker_partial_grad_into(
     layer: &WinogradLayer,
@@ -234,10 +153,11 @@ fn worker_partial_grad_into(
     let tf = layer.transform();
     let t2 = tf.t() * tf.t();
     let (i_ch, j_ch) = (layer.weights().in_chans, layer.weights().out_chans);
+    let serial = ParPool::serial();
     let xc = slice_batch(x, c * chunk, chunk);
     let dyc = slice_batch(dy, c * chunk, chunk);
-    let wx = to_winograd_input(&xc, tf);
-    let wdy = wmpt_winograd::output_grad_to_winograd(&dyc, tf);
+    let wx = to_winograd_input_par(&serial, &xc, tf);
+    let wdy = output_grad_to_winograd_par(&serial, &dyc, tf);
     // Per owned element, one batched GEMM over the chunk's whole tile set
     // (`∇W_e = X_eᵀ · ∂Y_e`) into a scratch matrix, then accumulate. The
     // kernel reduces each entry in the same ascending-`tile` f64 order as
@@ -245,7 +165,8 @@ fn worker_partial_grad_into(
     // old accumulate exactly — bit-identical.
     let mut dwm = vec![0.0f32; i_ch * j_ch];
     for e in (0..t2).filter(|e| elem_owner(*e, t2, cfg.n_g) == g) {
-        gemm(
+        gemm_f32_par(
+            &serial,
             wx.elem_matrix(e),
             wx.tiles,
             wx.chans,
@@ -262,12 +183,17 @@ fn worker_partial_grad_into(
     }
 }
 
-/// Parallel [`reduced_gradient_distributed`]: all `N_g × N_c` logical
-/// workers fan out across the pool, each producing its partial gradient;
-/// the partials merge in worker order `(g, c)` — the same order the
-/// serial ring reduction visits — so the result is bit-identical for any
-/// job count. (A worker's unowned entries stay `+0.0`, and adding `+0.0`
-/// never changes the bits of a running sum that started at `+0.0`.)
+/// The group-ring-reduced Winograd-domain weight gradient, computed with
+/// the MPT partitioning: worker `(g, c)` contributes its batch chunk's
+/// partial gradient for its group's elements; sums run within groups
+/// only.
+///
+/// All `N_g × N_c` logical workers fan out across the pool, each
+/// producing its partial gradient; the partials merge in worker order
+/// `(g, c)` — the order the ring reduction visits — so the result is
+/// bit-identical for any job count. (A worker's unowned entries stay
+/// `+0.0`, and adding `+0.0` never changes the bits of a running sum
+/// that started at `+0.0`.)
 ///
 /// # Panics
 ///
@@ -279,9 +205,6 @@ pub fn reduced_gradient_distributed_par(
     x: &Tensor4,
     dy: &Tensor4,
 ) -> WgWeights {
-    if pool.jobs() <= 1 || cfg.workers() <= 1 {
-        return reduced_gradient_distributed(layer, cfg, x, dy);
-    }
     let s = x.shape();
     assert_eq!(
         s.n % cfg.n_c,
@@ -293,24 +216,34 @@ pub fn reduced_gradient_distributed_par(
     let chunk = s.n / cfg.n_c;
     let t2 = layer.transform().t() * layer.transform().t();
     let (i_ch, j_ch) = (layer.weights().in_chans, layer.weights().out_chans);
-    let partials = pool.map_indexed(cfg.n_g * cfg.n_c, |wk| {
-        let (g, c) = (wk / cfg.n_c, wk % cfg.n_c);
-        let mut p = WgWeights::zeros(t2, i_ch, j_ch);
-        worker_partial_grad_into(layer, cfg, x, dy, g, c, chunk, &mut p);
-        p
-    });
-    let mut total = WgWeights::zeros(t2, i_ch, j_ch);
-    for p in &partials {
-        for (t, v) in total.data.iter_mut().zip(&p.data) {
-            *t += v;
-        }
-    }
-    total
+    // Each partial merges into the total as soon as every earlier worker's
+    // has; one waits only while an earlier one is unfinished, so a 1-job
+    // pool holds a single weight-sized partial, not N_g·N_c of them.
+    pool.fold_indexed(
+        cfg.workers(),
+        WgWeights::zeros(t2, i_ch, j_ch),
+        |wk| {
+            let (g, c) = (wk / cfg.n_c, wk % cfg.n_c);
+            let mut p = WgWeights::zeros(t2, i_ch, j_ch);
+            worker_partial_grad_into(layer, cfg, x, dy, g, c, chunk, &mut p);
+            p
+        },
+        |total, p| {
+            for (t, v) in total.data.iter_mut().zip(&p.data) {
+                *t += v;
+            }
+        },
+    )
 }
 
-/// Parallel [`train_step_distributed`] (gradient via
-/// [`reduced_gradient_distributed_par`], bit-identical to serial for any
-/// job count).
+/// Distributed `updateGrad` + SGD step: the gradient of
+/// [`reduced_gradient_distributed_par`] — ring-reduced *within each
+/// group* (across the `N_c` clusters), never across groups — applied to
+/// the weights.
+///
+/// Numerically identical to centralized
+/// `layer.update_grad_par(pool, x, dy); layer.apply_grad(...)`, for any
+/// job count.
 ///
 /// # Panics
 ///
@@ -342,7 +275,7 @@ pub fn train_step_distributed_momentum(
     x: &Tensor4,
     dy: &Tensor4,
 ) {
-    let grad = reduced_gradient_distributed(layer, cfg, x, dy);
+    let grad = reduced_gradient_distributed_par(&ParPool::serial(), layer, cfg, x, dy);
     let t2 = layer.transform().t() * layer.transform().t();
     // Each group applies the update to its own elements only; jointly
     // they cover all of them.
@@ -392,7 +325,7 @@ pub fn gather_with_prediction(
     out_shape: Shape4,
 ) -> (Tensor4, u64) {
     let tf = predictor.transform();
-    let full = from_winograd_output(y, tf, out_shape);
+    let full = from_winograd_output_par(&ParPool::serial(), y, tf, out_shape);
     let mut out = relu(&full);
     let mut skipped_bytes = 0u64;
     let tl = wmpt_winograd::Tiling::new(tf, out_shape.h, out_shape.w);
@@ -461,7 +394,7 @@ mod tests {
     use super::*;
     use wmpt_predict::QuantizerConfig;
     use wmpt_tensor::DataGen;
-    use wmpt_winograd::{output_grad_to_winograd, WinogradTransform};
+    use wmpt_winograd::WinogradTransform;
 
     #[test]
     fn degraded_grid_respects_batch_divisibility() {
@@ -505,7 +438,7 @@ mod tests {
     #[test]
     fn distributed_fprop_matches_centralized() {
         let (layer, x, _) = setup(1, 8);
-        let reference = layer.fprop(&x);
+        let reference = layer.fprop_par(&ParPool::serial(), &x);
         for cfg in [
             ClusterConfig::new(1, 8),
             ClusterConfig::new(4, 2),
@@ -515,7 +448,7 @@ mod tests {
             if x.shape().n % cfg.n_c != 0 {
                 continue;
             }
-            let dist = fprop_distributed(&layer, cfg, &x);
+            let dist = fprop_distributed_par(&ParPool::serial(), &layer, cfg, &x);
             let diff = dist.max_abs_diff(&reference);
             assert!(diff < 1e-4, "{cfg}: diff {diff}");
         }
@@ -525,7 +458,7 @@ mod tests {
     fn distributed_train_step_matches_centralized() {
         let (layer, x, dy) = setup(2, 8);
         let mut central = layer.clone();
-        let grad = central.update_grad(&x, &dy);
+        let grad = central.update_grad_par(&ParPool::serial(), &x, &dy);
         central.apply_grad(&grad, 0.01);
 
         for cfg in [
@@ -534,7 +467,7 @@ mod tests {
             ClusterConfig::new(1, 4),
         ] {
             let mut dist = layer.clone();
-            train_step_distributed(&mut dist, cfg, &x, &dy, 0.01);
+            train_step_distributed_par(&ParPool::serial(), &mut dist, cfg, &x, &dy, 0.01);
             let diff: f32 = dist
                 .weights()
                 .data
@@ -558,20 +491,20 @@ mod tests {
         // *partitioning*, not about SGD dynamics amplifying FP noise.
         let lr = 0.002;
         for _ in 0..4 {
-            let yc = central.fprop(&x);
+            let yc = central.fprop_par(&ParPool::serial(), &x);
             let mut dyc = yc.clone();
             for (d, t) in dyc.as_mut_slice().iter_mut().zip(target.as_slice()) {
                 *d -= t;
             }
-            let grad = central.update_grad(&x, &dyc);
+            let grad = central.update_grad_par(&ParPool::serial(), &x, &dyc);
             central.apply_grad(&grad, lr);
 
-            let yd = fprop_distributed(&dist, cfg, &x);
+            let yd = fprop_distributed_par(&ParPool::serial(), &dist, cfg, &x);
             let mut dyd = yd.clone();
             for (d, t) in dyd.as_mut_slice().iter_mut().zip(target.as_slice()) {
                 *d -= t;
             }
-            train_step_distributed(&mut dist, cfg, &x, &dyd, lr);
+            train_step_distributed_par(&ParPool::serial(), &mut dist, cfg, &x, &dyd, lr);
         }
         let scale = central
             .weights()
@@ -606,7 +539,7 @@ mod tests {
         let cfg = ClusterConfig::new(4, 2);
 
         for _ in 0..3 {
-            let g = central.update_grad(&x, &dy);
+            let g = central.update_grad_par(&ParPool::serial(), &x, &dy);
             opt_c.step(central.weights_mut(), &g);
             train_step_distributed_momentum(&mut dist, cfg, &mut opt_d, &x, &dy);
         }
@@ -640,10 +573,10 @@ mod tests {
         let a_sp = g.normal_tensor(shape, 0.0, 1.0);
         let b_sp = g.normal_tensor(shape, 0.0, 1.0);
         // Build Winograd-domain branches via the adjoint map.
-        let a = output_grad_to_winograd(&a_sp, &tf);
-        let b = output_grad_to_winograd(&b_sp, &tf);
+        let a = output_grad_to_winograd_par(&ParPool::serial(), &a_sp, &tf);
+        let b = output_grad_to_winograd_par(&ParPool::serial(), &b_sp, &tf);
         let joined = winograd_join(&[&a, &b]);
-        let spatial_of = |w: &WgTensor| from_winograd_output(w, &tf, shape);
+        let spatial_of = |w: &WgTensor| from_winograd_output_par(&ParPool::serial(), w, &tf, shape);
         let mut expect = spatial_of(&a);
         expect.add_assign(&spatial_of(&b));
         expect.scale(0.5);
@@ -658,11 +591,16 @@ mod tests {
         let shape = Shape4::new(4, 8, 8, 8);
         // Bias neurons negative so many tiles are dead.
         let y_sp = g.normal_tensor(shape, -1.0, 1.0);
-        let y = output_grad_to_winograd(&y_sp, &tf);
+        let y = output_grad_to_winograd_par(&ParPool::serial(), &y_sp, &tf);
         let sigma = wmpt_predict::sigma_of(&y.data);
         let predictor = ActivationPredictor::new(tf.clone(), QuantizerConfig::new(64, 4), sigma);
         let (with_pred, skipped) = gather_with_prediction(&y, &predictor, PredictMode::TwoD, shape);
-        let full = relu(&from_winograd_output(&y, &tf, shape));
+        let full = relu(&from_winograd_output_par(
+            &ParPool::serial(),
+            &y,
+            &tf,
+            shape,
+        ));
         assert_eq!(
             with_pred.max_abs_diff(&full),
             0.0,

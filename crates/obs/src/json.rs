@@ -177,12 +177,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a hostile document (a body
+/// of nested `[`) overflow the stack; the deepest document the workspace
+/// itself writes nests 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
-/// anything else is an error).
+/// anything else is an error). Nesting deeper than [`MAX_DEPTH`] is an
+/// error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         b: input.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -196,6 +204,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -240,11 +250,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -383,6 +408,20 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(e.msg.contains("nesting deeper than"), "{e}");
+        let obj_in_arr = "[{\"a\":".repeat(MAX_DEPTH / 2) + "1" + &"}]".repeat(MAX_DEPTH / 2);
+        assert!(parse(&obj_in_arr).is_ok());
+        assert!(parse(&format!("[{obj_in_arr}]")).is_err());
+        // The body that used to overflow the stack: 200 000 unclosed `[`.
+        let e = parse(&"[".repeat(200_000)).expect_err("hostile nesting");
+        assert_eq!(e.at, MAX_DEPTH);
+    }
 
     #[test]
     fn round_trips_scalars() {

@@ -20,9 +20,10 @@
 //!    atomic cursor (load balancing), but the reduction sequence is a pure
 //!    function of the input.
 //!
-//! A corollary used throughout the workspace: a parallel entry point built
-//! from these primitives equals its serial counterpart bit for bit, so
-//! `jobs = 1, 2, 7, …` all render identical checkpoints.
+//! A corollary used throughout the workspace: an entry point built from
+//! these primitives returns the same bits at `jobs = 1, 2, 7, …` (the
+//! 1-job pool runs inline and is the serial path), so every job count
+//! renders identical checkpoints.
 //!
 //! No dependencies, no unsafe, no global state: workers are
 //! [`std::thread::scope`] threads that borrow the caller's data, and a
@@ -100,16 +101,33 @@ impl ParPool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
+        self.fold_indexed(n, Vec::with_capacity(n), f, |out, r| out.push(r))
+    }
+
+    /// Runs `f(0), f(1), …, f(n-1)` across the pool and folds each result
+    /// into `acc` on the calling thread **in index order** —
+    /// `merge(&mut acc, r0)`, then `r1`, … — as soon as every earlier
+    /// result has been merged. Only results that finish ahead of an
+    /// unfinished earlier index wait in memory, so a reduction over many
+    /// large results does not hold all of them at once.
+    pub fn fold_indexed<R, A, F, M>(&self, n: usize, mut acc: A, f: F, mut merge: M) -> A
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+        M: FnMut(&mut A, R),
+    {
         let workers = self.jobs.min(n);
         if workers <= 1 {
-            return (0..n).map(f).collect();
+            for i in 0..n {
+                merge(&mut acc, f(i));
+            }
+            return acc;
         }
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
+        let mut waiting: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        let mut next = 0;
         thread::scope(|s| {
+            let (tx, rx) = mpsc::channel::<(usize, R)>();
             for _ in 0..workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
@@ -125,16 +143,19 @@ impl ParPool {
                     }
                 });
             }
+            drop(tx);
+            // Ends when every worker has exited; a worker panic then
+            // propagates from the scope join.
+            for (i, r) in rx {
+                waiting[i] = Some(r);
+                while let Some(r) = waiting.get_mut(next).and_then(Option::take) {
+                    merge(&mut acc, r);
+                    next += 1;
+                }
+            }
         });
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("worker completed every claimed index"))
-            .collect()
+        assert_eq!(next, n, "worker completed every claimed index");
+        acc
     }
 
     /// Splits `items` into `⌈len/chunk⌉` contiguous chunks — boundaries
@@ -239,6 +260,26 @@ mod tests {
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(ParPool::new(4).map_indexed(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn fold_indexed_merges_in_index_order() {
+        // Index 0 is slow, so later results arrive first and must wait.
+        for jobs in [1, 2, 7] {
+            let order = ParPool::new(jobs).fold_indexed(
+                9,
+                Vec::new(),
+                |i| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    i
+                },
+                |seen, i| seen.push(i),
+            );
+            assert_eq!(order, (0..9).collect::<Vec<_>>(), "jobs={jobs}");
+        }
+        assert_eq!(ParPool::new(4).fold_indexed(0, 5, |i| i, |a, i| *a += i), 5);
     }
 
     #[test]

@@ -204,3 +204,27 @@ fn auto_plan_and_ring_noc_jobs_serve_end_to_end() {
     assert_eq!(Some(served_metrics.as_str()), direct.metrics.as_deref());
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_body_is_rejected_and_server_stays_up() {
+    // 200 000 nested `[` used to overflow the parser's stack and abort
+    // the whole process; now it is a plain bad request.
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let body = "[".repeat(200_000);
+    let resp = http_request(&addr, "POST", "/api/v1/jobs", body.as_bytes()).expect("submit");
+    assert!(
+        (400..500).contains(&resp.status),
+        "{} {}",
+        resp.status,
+        resp.text()
+    );
+    assert!(
+        resp.text().contains("nesting deeper than"),
+        "{}",
+        resp.text()
+    );
+    let health = http_request(&addr, "GET", "/api/v1/healthz", b"").expect("healthz");
+    assert_eq!(health.status, 200, "{}", health.text());
+    server.shutdown();
+}

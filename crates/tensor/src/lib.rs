@@ -8,9 +8,9 @@
 //!   routines needed to *construct* Winograd transforms (Gaussian
 //!   elimination, least squares); numerics of the layers themselves run in
 //!   `f32` like the paper's FP32 MAC arrays.
-//! * [`ops`] — the shared f32 GEMM (f64 accumulation) and element-wise
-//!   maps, each with a serial and a deterministic `ParPool`-parallel entry
-//!   point (bit-identical results for any job count).
+//! * [`ops`] — the shared f32 GEMM (f64 accumulation): one
+//!   `ParPool`-taking entry point, bit-identical for any job count (a
+//!   1-job pool is the serial path).
 //! * [`gen`] — deterministic, seedable random data generators (uniform and
 //!   Box–Muller normal) so every experiment in the workspace is exactly
 //!   reproducible.
@@ -41,7 +41,7 @@ pub mod tensor;
 pub use fp16::{f16_bits_to_f32, f32_to_f16, f32_to_f16_bits, quantize_tensor_f16};
 pub use gen::DataGen;
 pub use matrix::Matrix;
-pub use ops::{gemm_f32, gemm_f32_par, par_map_slice};
+pub use ops::gemm_f32_par;
 pub use rng::Rng64;
 pub use shape::Shape4;
 pub use tensor::Tensor4;

@@ -1,10 +1,10 @@
-//! Shared dense kernels: the workspace GEMM and element-wise maps, each
-//! with a serial and a [`ParPool`]-parallel entry point.
+//! Shared dense kernels: the workspace GEMM, one [`ParPool`]-taking entry
+//! point whose 1-job pool is the serial path.
 //!
 //! # Kernel structure
 //!
-//! [`gemm_f32`] is a cache-blocked, panel-packed microkernel in the BLIS
-//! mold: the iteration space is tiled into `MC × KC × NC` blocks, the
+//! [`gemm_f32_par`] runs a cache-blocked, panel-packed microkernel in the
+//! BLIS mold: the iteration space is tiled into `MC × KC × NC` blocks, the
 //! `A` operand is packed into contiguous [`MR`]-row panels, the `B`
 //! operand into contiguous [`NR`]-column panels ([`PackedB`]), and an
 //! inner `MR × NR` register tile accumulates in f64 with enough
@@ -14,18 +14,19 @@
 //!
 //! # Determinism contract
 //!
-//! The parallel variants follow the `wmpt-par` rule: work splits into
-//! chunks whose boundaries depend only on the problem shape (fixed
-//! `const` chunk sizes below), and every output element is computed by
-//! exactly the same arithmetic as the serial code — bit-identical results
-//! for any job count. The blocked kernel preserves a stronger invariant:
-//! each output element is reduced by **one** f64 accumulator in strictly
-//! ascending `l` (inner-dimension) order, exactly as the retained naive
-//! reference [`gemm_f32_ref`]. `KC` blocking only pauses that chain — the
-//! accumulator strip is stored and reloaded as f64 between `KC` blocks,
-//! which is exact — and `M`/`N` zero-padding lanes are never written
-//! back, so blocked ≡ reference ≡ parallel, bit for bit, on every shape.
-//! Nothing numeric in the workspace changes when the schedule does.
+//! Work follows the `wmpt-par` rule: it splits into chunks whose
+//! boundaries depend only on the problem shape (fixed `const` chunk
+//! sizes below), and every output element is computed by exactly the
+//! same arithmetic whichever thread runs its chunk — bit-identical
+//! results for any job count. The blocked kernel preserves a stronger
+//! invariant: each output element is reduced by **one** f64 accumulator
+//! in strictly ascending `l` (inner-dimension) order, exactly as the
+//! retained naive reference [`gemm_f32_ref`]. `KC` blocking only pauses
+//! that chain — the accumulator strip is stored and reloaded as f64
+//! between `KC` blocks, which is exact — and `M`/`N` zero-padding lanes
+//! are never written back, so blocked ≡ reference ≡ parallel, bit for
+//! bit, on every shape. Nothing numeric in the workspace changes when
+//! the schedule does.
 
 use std::cell::RefCell;
 
@@ -33,11 +34,8 @@ use wmpt_par::ParPool;
 
 /// Output rows per parallel GEMM chunk. A fixed constant so that chunk
 /// boundaries depend only on the matrix shape, never on the job count.
-/// Matches [`MC`] so each band is one cache block of the serial schedule.
+/// Matches [`MC`] so each band is one cache block of the kernel.
 pub const GEMM_ROW_CHUNK: usize = 64;
-
-/// Elements per parallel element-wise-map chunk (same fixed-boundary rule).
-pub const MAP_CHUNK: usize = 4096;
 
 /// Register-tile rows of the inner microkernel.
 pub const MR: usize = 4;
@@ -58,9 +56,9 @@ pub const KC: usize = 256;
 pub const NC: usize = 256;
 
 /// Below this many multiply-adds (`m·k·n`) the packing overhead is not
-/// worth paying and the reference kernel runs instead. Safe to tune
-/// freely: both paths produce identical bits.
-const BLOCKED_MIN_MACS: usize = 4096;
+/// worth paying and the reference kernel runs instead ([`GemmB`]). Safe
+/// to tune freely: both paths produce identical bits.
+pub const BLOCKED_MIN_MACS: usize = 4096;
 
 const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
 const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
@@ -288,9 +286,8 @@ fn micro_edge(
 }
 
 /// Blocked GEMM over output rows `row0 .. row0 + out.len()/n` against a
-/// pre-packed `B`. This is the band kernel the parallel path dispatches
-/// per chunk (sharing one [`PackedB`]) and the serial path calls once
-/// with `row0 = 0`.
+/// pre-packed `B`. This is the band kernel [`gemm_f32_par`] dispatches
+/// per chunk, all chunks sharing one [`PackedB`].
 ///
 /// Bit-identical to [`gemm_f32_ref`] on the same rows: every output
 /// element is reduced by one f64 accumulator in ascending `l` order (the
@@ -358,11 +355,55 @@ pub fn gemm_f32_packed_rows(
     });
 }
 
+/// The `B` operand of one GEMM, prepared once and shared by every row
+/// band. Above the [`BLOCKED_MIN_MACS`] cutoff it is packed into panels
+/// for the blocked kernel; below it the packing overhead is not worth
+/// paying, so `B` is borrowed as is and rows run the naive reference
+/// kernel. Both produce identical bits (see module docs), so the cutoff
+/// is a pure performance knob.
+pub enum GemmB<'a> {
+    /// Small product: rows run [`gemm_f32_ref`]'s loop straight off `b`.
+    Ref {
+        /// The operand as given.
+        b: &'a [f32],
+        /// Logical columns of `B`.
+        n: usize,
+        /// Whether `b` is read transposed.
+        tb: bool,
+    },
+    /// Large product: rows run the blocked kernel on packed panels.
+    Packed(PackedB),
+}
+
+impl<'a> GemmB<'a> {
+    /// Prepares `b` (`k × n`, or `n × k` read transposed when `tb`) for a
+    /// product with `m` output rows.
+    pub fn new(b: &'a [f32], m: usize, k: usize, n: usize, tb: bool) -> Self {
+        if m * k * n < BLOCKED_MIN_MACS {
+            Self::Ref { b, n, tb }
+        } else {
+            Self::Packed(pack_b(b, k, n, tb))
+        }
+    }
+
+    /// Computes output rows `row0 .. row0 + out.len()/n` of `A · B` into
+    /// `out` (`A` as in [`gemm_f32_par`]).
+    pub fn rows(&self, a: &[f32], ar: usize, ac: usize, ta: bool, out: &mut [f32], row0: usize) {
+        match self {
+            Self::Ref { b, n, tb } => gemm_rows_ref(a, ar, ac, b, *n, out, ta, *tb, row0),
+            Self::Packed(bp) => gemm_f32_packed_rows(a, ar, ac, ta, bp, out, row0),
+        }
+    }
+}
+
 /// f32 GEMM with f64 accumulation — the one matrix multiply every numeric
-/// path in the workspace funnels through. Dispatches to the blocked
-/// panel-packed kernel above the [`BLOCKED_MIN_MACS`] cutoff and to the
-/// naive reference below it; both produce identical bits (see module
-/// docs), so the cutoff is a pure performance knob.
+/// path in the workspace funnels through. Output rows are computed in
+/// fixed [`GEMM_ROW_CHUNK`]-row bands distributed across the pool, all
+/// bands sharing one prepared copy of `B` ([`GemmB`]: the blocked kernel
+/// above the size cutoff, the reference kernel below it). Each output
+/// element runs the same f64-accumulated ascending-`l` reduction as
+/// [`gemm_f32_ref`], so the result is bit-identical for any `jobs`
+/// value; a 1-job pool runs every band inline on the caller's thread.
 ///
 /// `a` is `ar × ac`; when `ta` it is used as `ac × ar` (transposed read).
 /// `b` has `bc` columns (rows inferred from `k`); when `tb`, `b` is read
@@ -373,42 +414,6 @@ pub fn gemm_f32_packed_rows(
 ///
 /// Panics if `out.len() != m * bc` (a real `assert!` — release builds
 /// must not scribble past a mis-shaped output).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_f32(
-    a: &[f32],
-    ar: usize,
-    ac: usize,
-    b: &[f32],
-    bc: usize,
-    out: &mut [f32],
-    ta: bool,
-    tb: bool,
-) {
-    let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
-    assert_eq!(
-        out.len(),
-        m * bc,
-        "gemm_f32: out length {} does not match {m}x{bc} product",
-        out.len()
-    );
-    if m * k * bc < BLOCKED_MIN_MACS {
-        gemm_rows_ref(a, ar, ac, b, bc, out, ta, tb, 0);
-        return;
-    }
-    let bp = pack_b(b, k, bc, tb);
-    gemm_f32_packed_rows(a, ar, ac, ta, &bp, out, 0);
-}
-
-/// Parallel [`gemm_f32`]: output rows are computed in fixed
-/// [`GEMM_ROW_CHUNK`]-row bands distributed across the pool, all bands
-/// sharing one packed copy of `B`. Each output element runs the same
-/// f64-accumulated ascending-`l` reduction as the serial kernel, so the
-/// result is bit-identical for any `jobs` value.
-///
-/// # Panics
-///
-/// Panics if `out.len()` does not match the product shape (real
-/// `assert!`, release builds included).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_f32_par(
     pool: &ParPool,
@@ -428,33 +433,9 @@ pub fn gemm_f32_par(
         "gemm_f32_par: out length {} does not match {m}x{bc} product",
         out.len()
     );
-    if pool.jobs() <= 1 || m <= GEMM_ROW_CHUNK {
-        gemm_f32(a, ar, ac, b, bc, out, ta, tb);
-        return;
-    }
-    if m * k * bc < BLOCKED_MIN_MACS {
-        pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * bc, |ci, band| {
-            gemm_rows_ref(a, ar, ac, b, bc, band, ta, tb, ci * GEMM_ROW_CHUNK);
-        });
-        return;
-    }
-    let bp = pack_b(b, k, bc, tb);
+    let bp = GemmB::new(b, m, k, bc, tb);
     pool.for_each_chunk_mut(out, GEMM_ROW_CHUNK * bc, |ci, band| {
-        gemm_f32_packed_rows(a, ar, ac, ta, &bp, band, ci * GEMM_ROW_CHUNK);
-    });
-}
-
-/// Applies `f` to every element of `data` in place, in fixed
-/// [`MAP_CHUNK`]-element chunks across the pool. Element-wise maps touch
-/// each slot independently, so parallel equals serial bit for bit.
-pub fn par_map_slice<F>(pool: &ParPool, data: &mut [f32], f: F)
-where
-    F: Fn(f32) -> f32 + Sync,
-{
-    pool.for_each_chunk_mut(data, MAP_CHUNK, |_, chunk| {
-        for v in chunk.iter_mut() {
-            *v = f(*v);
-        }
+        bp.rows(a, ar, ac, ta, band, ci * GEMM_ROW_CHUNK);
     });
 }
 
@@ -475,25 +456,33 @@ mod tests {
     #[test]
     fn gemm_par_is_bit_identical_for_any_jobs() {
         // Odd sizes so the last row band is partial, all four transpose
-        // combinations so every indexing path is covered. Large enough
-        // (m > GEMM_ROW_CHUNK, macs > cutoff) to exercise the blocked
-        // multi-band path, not just the serial fallback.
-        let (m, k, n) = (131, 13, 11);
-        let a = random(m * k, 1);
-        let bv = random(k * n, 3);
-        for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
-            let (ar, ac) = if ta { (k, m) } else { (m, k) };
-            let mut serial = vec![0.0f32; m * n];
-            gemm_f32(&a, ar, ac, &bv, n, &mut serial, ta, tb);
-            for jobs in [1, 2, 7] {
-                let pool = ParPool::new(jobs);
-                let mut par = vec![0.0f32; m * n];
-                gemm_f32_par(&pool, &a, ar, ac, &bv, n, &mut par, ta, tb);
+        // combinations so every indexing path is covered, m >
+        // GEMM_ROW_CHUNK so there are several bands. One shape sits above
+        // the BLOCKED_MIN_MACS cutoff (blocked kernel), one below it
+        // (reference kernel per band). The 1-job result must equal the
+        // reference, and every wider pool the 1-job result.
+        for (m, k, n) in [(131, 13, 11), (131, 2, 3)] {
+            assert_eq!(m * k * n >= BLOCKED_MIN_MACS, k == 13);
+            let a = random(m * k, 1);
+            let bv = random(k * n, 3);
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let (ar, ac) = if ta { (k, m) } else { (m, k) };
+                let run = |jobs: usize| {
+                    let mut out = vec![0.0f32; m * n];
+                    gemm_f32_par(&ParPool::new(jobs), &a, ar, ac, &bv, n, &mut out, ta, tb);
+                    bits(&out)
+                };
+                let mut reference = vec![0.0f32; m * n];
+                gemm_f32_ref(&a, ar, ac, &bv, n, &mut reference, ta, tb);
+                let serial = run(1);
                 assert_eq!(
-                    bits(&serial),
-                    bits(&par),
-                    "ta={ta} tb={tb} jobs={jobs} diverged"
+                    bits(&reference),
+                    serial,
+                    "{m}x{k}x{n} ta={ta} tb={tb} jobs=1"
                 );
+                for jobs in [2, 7] {
+                    assert_eq!(serial, run(jobs), "{m}x{k}x{n} ta={ta} tb={tb} jobs={jobs}");
+                }
             }
         }
     }
@@ -535,22 +524,23 @@ mod tests {
         // [1 2; 3 4] * [5 6; 7 8] = [19 22; 43 50]
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [5.0, 6.0, 7.0, 8.0];
+        let pool = ParPool::serial();
         let mut out = [0.0f32; 4];
-        gemm_f32(&a, 2, 2, &b, 2, &mut out, false, false);
+        gemm_f32_par(&pool, &a, 2, 2, &b, 2, &mut out, false, false);
         assert_eq!(out, [19.0, 22.0, 43.0, 50.0]);
         // Aᵀ * B with A stored as 2×2: same matrix transposed.
         let mut out_t = [0.0f32; 4];
-        gemm_f32(&a, 2, 2, &b, 2, &mut out_t, true, false);
+        gemm_f32_par(&pool, &a, 2, 2, &b, 2, &mut out_t, true, false);
         assert_eq!(out_t, [26.0, 30.0, 38.0, 44.0]);
     }
 
     #[test]
-    #[should_panic(expected = "gemm_f32: out length")]
+    #[should_panic(expected = "gemm_f32_par: out length")]
     fn gemm_rejects_mis_shaped_output() {
         let a = [1.0f32; 6];
         let b = [1.0f32; 6];
         let mut out = [0.0f32; 5]; // should be 2x3 = 6
-        gemm_f32(&a, 2, 3, &b, 3, &mut out, false, false);
+        gemm_f32_par(&ParPool::serial(), &a, 2, 3, &b, 3, &mut out, false, false);
     }
 
     #[test]
@@ -570,20 +560,5 @@ mod tests {
         let b = [1.0f32; 4];
         let mut out = [0.0f32; 3]; // should be 2x2 = 4
         gemm_f32_ref(&a, 2, 2, &b, 2, &mut out, false, false);
-    }
-
-    #[test]
-    fn par_map_is_bit_identical_for_any_jobs() {
-        let base = random(10_000, 4);
-        let mut serial = base.clone();
-        for v in serial.iter_mut() {
-            *v = v.max(0.0) * 1.7 + 0.3;
-        }
-        for jobs in [1, 2, 7] {
-            let pool = ParPool::new(jobs);
-            let mut par = base.clone();
-            par_map_slice(&pool, &mut par, |v| v.max(0.0) * 1.7 + 0.3);
-            assert_eq!(bits(&serial), bits(&par), "jobs={jobs} diverged");
-        }
     }
 }

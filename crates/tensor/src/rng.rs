@@ -118,11 +118,6 @@ impl Rng64 {
         assert!(n > 0, "cannot sample from an empty range");
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
-
-    /// Random boolean.
-    pub fn next_bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
 }
 
 #[cfg(test)]

@@ -67,11 +67,6 @@ impl Tensor4 {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the underlying storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at `(n, c, h, w)`, or `0.0` when `(h, w)` falls outside the
     /// spatial extent (used for implicit zero padding during convolution
     /// and tiling).
@@ -93,16 +88,6 @@ impl Tensor4 {
         for v in &mut self.data {
             *v = f(*v);
         }
-    }
-
-    /// Parallel [`Self::map_inplace`] over a [`wmpt_par::ParPool`];
-    /// bit-identical to the serial version for any job count (see
-    /// [`crate::ops::par_map_slice`]).
-    pub fn par_map_inplace<F>(&mut self, pool: &wmpt_par::ParPool, f: F)
-    where
-        F: Fn(f32) -> f32 + Sync,
-    {
-        crate::ops::par_map_slice(pool, &mut self.data, f);
     }
 
     /// Element-wise sum with another tensor of identical shape.

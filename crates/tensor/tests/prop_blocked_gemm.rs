@@ -1,6 +1,7 @@
 //! Kernel-correctness battery for the blocked, panel-packed GEMM:
 //! random shapes × `{ta, tb}` × jobs ∈ {1, 2, 7} against the retained
-//! naive reference kernel.
+//! naive reference kernel: the 1-job pool must equal the reference, and
+//! `jobs ∈ {2, 7}` the 1-job result.
 //!
 //! Two regimes, matching the contract in `tensor::ops`:
 //!
@@ -19,7 +20,7 @@
 use wmpt_check::{check, Tol};
 use wmpt_par::ParPool;
 use wmpt_tensor::ops::{
-    gemm_f32, gemm_f32_packed_rows, gemm_f32_par, gemm_f32_ref, pack_b, GEMM_ROW_CHUNK, KC, MR, NR,
+    gemm_f32_packed_rows, gemm_f32_par, gemm_f32_ref, pack_b, GEMM_ROW_CHUNK, KC, MR, NR,
 };
 
 fn bits(xs: &[f32]) -> Vec<u32> {
@@ -76,15 +77,6 @@ fn blocked_gemm_bit_identical_to_reference_for_random_shapes() {
             let mut reference = vec![0.0f32; m * n];
             gemm_f32_ref(&a, ar, ac, &b, n, &mut reference, ta, tb);
 
-            // Dispatching entry point (may pick either kernel — same bits).
-            let mut dispatched = vec![0.0f32; m * n];
-            gemm_f32(&a, ar, ac, &b, n, &mut dispatched, ta, tb);
-            assert_eq!(
-                bits(&reference),
-                bits(&dispatched),
-                "gemm_f32 {m}x{k}x{n} ta={ta} tb={tb}"
-            );
-
             // Blocked path forced, regardless of the size cutoff.
             let bp = pack_b(&b, k, n, tb);
             let mut blocked = vec![0.0f32; m * n];
@@ -95,15 +87,24 @@ fn blocked_gemm_bit_identical_to_reference_for_random_shapes() {
                 "blocked {m}x{k}x{n} ta={ta} tb={tb}"
             );
 
-            // Parallel path at every gated jobs value.
-            for jobs in [1usize, 2, 7] {
-                let pool = ParPool::new(jobs);
-                let mut par = vec![0.0f32; m * n];
-                gemm_f32_par(&pool, &a, ar, ac, &b, n, &mut par, ta, tb);
+            // The pool-taking entry point (either kernel, by size): the
+            // 1-job pool against the reference, wider pools against it.
+            let run = |jobs: usize| {
+                let mut out = vec![0.0f32; m * n];
+                gemm_f32_par(&ParPool::new(jobs), &a, ar, ac, &b, n, &mut out, ta, tb);
+                bits(&out)
+            };
+            let serial = run(1);
+            assert_eq!(
+                bits(&reference),
+                serial,
+                "gemm_f32_par {m}x{k}x{n} ta={ta} tb={tb} jobs=1"
+            );
+            for jobs in [2usize, 7] {
                 assert_eq!(
-                    bits(&reference),
-                    bits(&par),
-                    "par {m}x{k}x{n} ta={ta} tb={tb} jobs={jobs}"
+                    serial,
+                    run(jobs),
+                    "gemm_f32_par {m}x{k}x{n} ta={ta} tb={tb} jobs={jobs}"
                 );
             }
         },

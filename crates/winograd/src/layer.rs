@@ -11,95 +11,35 @@
 //!   touches its own tile elements `W_(u,v)`).
 
 use wmpt_par::ParPool;
-use wmpt_tensor::ops::{gemm_f32 as gemm, gemm_f32_packed_rows, pack_b, PackedB, GEMM_ROW_CHUNK};
+use wmpt_tensor::ops::{GemmB, GEMM_ROW_CHUNK};
 use wmpt_tensor::{Shape4, Tensor4};
 
 use crate::tiling::{
-    from_winograd_output, from_winograd_output_par, input_grad_to_spatial,
-    input_grad_to_spatial_par, output_grad_to_winograd, output_grad_to_winograd_par,
-    to_winograd_input, to_winograd_input_par, weights_to_winograd, WgTensor, WgWeights,
+    from_winograd_output_par, input_grad_to_spatial_par, output_grad_to_winograd_par,
+    to_winograd_input_par, weights_to_winograd, WgTensor, WgWeights,
 };
 use crate::WinogradTransform;
 
-/// Element-wise batched GEMM over tile elements: `Y_e = X_e · W_e` for
-/// every `e ∈ 0..T²` (the paper's Eq. 2). `X_e` is `tiles × I`,
-/// `W_e` is `I × J`, `Y_e` is `tiles × J`.
-///
-/// # Panics
-///
-/// Panics if element counts or channel counts disagree.
-pub fn elementwise_gemm(x: &WgTensor, w: &WgWeights) -> WgTensor {
-    assert_eq!(x.elems, w.elems, "tile-element count mismatch");
-    assert_eq!(x.chans, w.in_chans, "channel mismatch");
-    let mut y = WgTensor::zeros(x.elems, x.tiles, w.out_chans);
-    for e in 0..x.elems {
-        let xm = x.elem_matrix(e);
-        let wm = w.elem_matrix(e);
-        let ym = y.elem_matrix_mut(e);
-        gemm(xm, x.tiles, x.chans, wm, w.out_chans, ym, false, false);
-    }
-    y
-}
-
-/// Element-wise `∂X_e = ∂Y_e · W_eᵀ`.
-///
-/// # Panics
-///
-/// Panics if element counts or channel counts disagree.
-pub fn elementwise_gemm_bprop(dy: &WgTensor, w: &WgWeights) -> WgTensor {
-    assert_eq!(dy.elems, w.elems, "tile-element count mismatch");
-    assert_eq!(dy.chans, w.out_chans, "channel mismatch");
-    let mut dx = WgTensor::zeros(dy.elems, dy.tiles, w.in_chans);
-    for e in 0..dy.elems {
-        let dym = dy.elem_matrix(e);
-        let wm = w.elem_matrix(e);
-        let dxm = dx.elem_matrix_mut(e);
-        // dX (tiles x I) = dY (tiles x J) * W^T (J x I)
-        gemm(dym, dy.tiles, dy.chans, wm, w.in_chans, dxm, false, true);
-    }
-    dx
-}
-
-/// Element-wise `∇W_e = X_eᵀ · ∂Y_e` (the per-worker partial weight
-/// gradient of the `updateGrad` phase).
-///
-/// # Panics
-///
-/// Panics if element counts or tile counts disagree.
-pub fn elementwise_gemm_wgrad(x: &WgTensor, dy: &WgTensor) -> WgWeights {
-    assert_eq!(x.elems, dy.elems, "tile-element count mismatch");
-    assert_eq!(x.tiles, dy.tiles, "tile count mismatch");
-    let mut dw = WgWeights::zeros(x.elems, x.chans, dy.chans);
-    for e in 0..x.elems {
-        let xm = x.elem_matrix(e);
-        let dym = dy.elem_matrix(e);
-        let dwm = dw.elem_matrix_mut(e);
-        // dW (I x J) = X^T (I x tiles) * dY (tiles x J)
-        gemm(xm, x.tiles, x.chans, dym, dy.chans, dwm, true, false);
-    }
-    dw
-}
-
-/// Distributes the batched element-wise GEMM across the pool in global
-/// [`GEMM_ROW_CHUNK`]-row bands over the *whole* output (all `T²`
-/// element matrices concatenated), against per-element pre-packed `B`
-/// panels.
+/// Runs the `T²` element GEMMs as one batched fat GEMM, distributed
+/// across the pool in global [`GEMM_ROW_CHUNK`]-row bands over the
+/// *whole* output (all element matrices concatenated), against
+/// per-element prepared `B` operands ([`GemmB`]: packed panels above the
+/// tensor crate's size cutoff, the reference kernel below it).
 ///
 /// Chunk boundaries depend only on the output shape — never the element
 /// grid — so a band may straddle element boundaries; each band dispatches
-/// its sub-range of rows per element against that element's packed
-/// panels. One pool scope per call (instead of one per element) and one
+/// its sub-range of rows per element against that element's prepared
+/// operand. One pool scope per call (instead of one per element) and one
 /// packing pass per element (shared by every band) keep the dispatch
-/// overhead independent of `T²`. Every output element still runs the
-/// blocked kernel's reference reduction order, so results are
-/// bit-identical to the serial path for any job count.
-fn batched_elem_gemm_par<'a, F>(
+/// overhead independent of `T²`. Every output element runs the reference
+/// reduction order, so results are bit-identical for any job count.
+fn batched_elem_gemm<'a, F>(
     pool: &ParPool,
     out: &mut [f32],
     n: usize,
     rows_per_elem: usize,
     a_of: F,
-    packed: &[PackedB],
+    b: &[GemmB<'_>],
 ) where
     F: Fn(usize) -> (&'a [f32], usize, usize, bool) + Sync,
 {
@@ -112,26 +52,19 @@ fn batched_elem_gemm_par<'a, F>(
             let local = row % rows_per_elem;
             let take = (rows_per_elem - local).min(end - row);
             let (a, ar, ac, ta) = a_of(e);
-            gemm_f32_packed_rows(
-                a,
-                ar,
-                ac,
-                ta,
-                &packed[e],
-                &mut band[off * n..(off + take) * n],
-                local,
-            );
+            b[e].rows(a, ar, ac, ta, &mut band[off * n..(off + take) * n], local);
             row += take;
             off += take;
         }
     });
 }
 
-/// Parallel [`elementwise_gemm`]: the `T²` element GEMMs run as one
-/// batched fat GEMM — the weights are packed once per element, and the
-/// concatenated output fans out across the pool in fixed global row
-/// bands (see [`batched_elem_gemm_par`]). Bit-identical to
-/// [`elementwise_gemm`] for any job count.
+/// Element-wise batched GEMM over tile elements: `Y_e = X_e · W_e` for
+/// every `e ∈ 0..T²` (the paper's Eq. 2). `X_e` is `tiles × I`,
+/// `W_e` is `I × J`, `Y_e` is `tiles × J`. Runs as one batched GEMM:
+/// the weights are prepared once per element and the concatenated output
+/// fans out across the pool in fixed global row bands; bit-identical for
+/// any job count.
 ///
 /// # Panics
 ///
@@ -139,26 +72,23 @@ fn batched_elem_gemm_par<'a, F>(
 pub fn elementwise_gemm_par(pool: &ParPool, x: &WgTensor, w: &WgWeights) -> WgTensor {
     assert_eq!(x.elems, w.elems, "tile-element count mismatch");
     assert_eq!(x.chans, w.in_chans, "channel mismatch");
-    if pool.jobs() <= 1 {
-        return elementwise_gemm(x, w);
-    }
     let mut y = WgTensor::zeros(x.elems, x.tiles, w.out_chans);
-    let packed: Vec<PackedB> = (0..x.elems)
-        .map(|e| pack_b(w.elem_matrix(e), x.chans, w.out_chans, false))
+    let b: Vec<GemmB> = (0..x.elems)
+        .map(|e| GemmB::new(w.elem_matrix(e), x.tiles, x.chans, w.out_chans, false))
         .collect();
-    batched_elem_gemm_par(
+    batched_elem_gemm(
         pool,
         &mut y.data,
         w.out_chans,
         x.tiles,
         |e| (x.elem_matrix(e), x.tiles, x.chans, false),
-        &packed,
+        &b,
     );
     y
 }
 
-/// Parallel [`elementwise_gemm_bprop`] (same batched contract as
-/// [`elementwise_gemm_par`]; the weights are packed transposed).
+/// Element-wise `∂X_e = ∂Y_e · W_eᵀ` (same batched contract as
+/// [`elementwise_gemm_par`]; the weights are read transposed).
 ///
 /// # Panics
 ///
@@ -166,27 +96,25 @@ pub fn elementwise_gemm_par(pool: &ParPool, x: &WgTensor, w: &WgWeights) -> WgTe
 pub fn elementwise_gemm_bprop_par(pool: &ParPool, dy: &WgTensor, w: &WgWeights) -> WgTensor {
     assert_eq!(dy.elems, w.elems, "tile-element count mismatch");
     assert_eq!(dy.chans, w.out_chans, "channel mismatch");
-    if pool.jobs() <= 1 {
-        return elementwise_gemm_bprop(dy, w);
-    }
     let mut dx = WgTensor::zeros(dy.elems, dy.tiles, w.in_chans);
-    // dX (tiles x I) = dY (tiles x J) * W^T (J x I): pack W_e transposed.
-    let packed: Vec<PackedB> = (0..dy.elems)
-        .map(|e| pack_b(w.elem_matrix(e), dy.chans, w.in_chans, true))
+    // dX (tiles x I) = dY (tiles x J) * W^T (J x I).
+    let b: Vec<GemmB> = (0..dy.elems)
+        .map(|e| GemmB::new(w.elem_matrix(e), dy.tiles, dy.chans, w.in_chans, true))
         .collect();
-    batched_elem_gemm_par(
+    batched_elem_gemm(
         pool,
         &mut dx.data,
         w.in_chans,
         dy.tiles,
         |e| (dy.elem_matrix(e), dy.tiles, dy.chans, false),
-        &packed,
+        &b,
     );
     dx
 }
 
-/// Parallel [`elementwise_gemm_wgrad`] (same batched contract as
-/// [`elementwise_gemm_par`]; the row space is `T² × I` gradient rows,
+/// Element-wise `∇W_e = X_eᵀ · ∂Y_e` (the per-worker partial weight
+/// gradient of the `updateGrad` phase; same batched contract as
+/// [`elementwise_gemm_par`], the row space being `T² × I` gradient rows
 /// with `X_e` read transposed).
 ///
 /// # Panics
@@ -195,21 +123,18 @@ pub fn elementwise_gemm_bprop_par(pool: &ParPool, dy: &WgTensor, w: &WgWeights) 
 pub fn elementwise_gemm_wgrad_par(pool: &ParPool, x: &WgTensor, dy: &WgTensor) -> WgWeights {
     assert_eq!(x.elems, dy.elems, "tile-element count mismatch");
     assert_eq!(x.tiles, dy.tiles, "tile count mismatch");
-    if pool.jobs() <= 1 {
-        return elementwise_gemm_wgrad(x, dy);
-    }
     let mut dw = WgWeights::zeros(x.elems, x.chans, dy.chans);
     // dW (I x J) = X^T (I x tiles) * dY (tiles x J).
-    let packed: Vec<PackedB> = (0..x.elems)
-        .map(|e| pack_b(dy.elem_matrix(e), x.tiles, dy.chans, false))
+    let b: Vec<GemmB> = (0..x.elems)
+        .map(|e| GemmB::new(dy.elem_matrix(e), x.chans, x.tiles, dy.chans, false))
         .collect();
-    batched_elem_gemm_par(
+    batched_elem_gemm(
         pool,
         &mut dw.data,
         dy.chans,
         x.chans,
         |e| (x.elem_matrix(e), x.tiles, x.chans, true),
-        &packed,
+        &b,
     );
     dw
 }
@@ -247,28 +172,31 @@ impl WinogradConv {
 
     /// Forward propagation (same semantics as [`crate::DirectConv::fprop`]).
     pub fn fprop(&self, x: &Tensor4, w: &Tensor4) -> Tensor4 {
-        let wx = to_winograd_input(x, &self.tf);
+        let pool = ParPool::serial();
+        let wx = to_winograd_input_par(&pool, x, &self.tf);
         let ww = weights_to_winograd(w, &self.tf);
-        let wy = elementwise_gemm(&wx, &ww);
+        let wy = elementwise_gemm_par(&pool, &wx, &ww);
         let out_shape = Shape4::new(x.shape().n, w.shape().n, x.shape().h, x.shape().w);
-        from_winograd_output(&wy, &self.tf, out_shape)
+        from_winograd_output_par(&pool, &wy, &self.tf, out_shape)
     }
 
     /// Backward propagation: exact gradient of [`Self::fprop`] w.r.t. `x`.
     pub fn bprop(&self, dy: &Tensor4, w: &Tensor4) -> Tensor4 {
-        let wdy = output_grad_to_winograd(dy, &self.tf);
+        let pool = ParPool::serial();
+        let wdy = output_grad_to_winograd_par(&pool, dy, &self.tf);
         let ww = weights_to_winograd(w, &self.tf);
-        let wdx = elementwise_gemm_bprop(&wdy, &ww);
+        let wdx = elementwise_gemm_bprop_par(&pool, &wdy, &ww);
         let in_shape = Shape4::new(dy.shape().n, w.shape().c, dy.shape().h, dy.shape().w);
-        input_grad_to_spatial(&wdx, &self.tf, in_shape)
+        input_grad_to_spatial_par(&pool, &wdx, &self.tf, in_shape)
     }
 
     /// Weight-gradient phase producing a *spatial* `∂w` (chain rule
     /// `∂w = Gᵀ ∂W G` applied per filter).
     pub fn update_grad(&self, x: &Tensor4, dy: &Tensor4) -> Tensor4 {
-        let wx = to_winograd_input(x, &self.tf);
-        let wdy = output_grad_to_winograd(dy, &self.tf);
-        let dw_wg = elementwise_gemm_wgrad(&wx, &wdy);
+        let pool = ParPool::serial();
+        let wx = to_winograd_input_par(&pool, x, &self.tf);
+        let wdy = output_grad_to_winograd_par(&pool, dy, &self.tf);
+        let dw_wg = elementwise_gemm_wgrad_par(&pool, &wx, &wdy);
         let r = self.tf.r();
         let t = self.tf.t();
         let mut dw = Tensor4::zeros(Shape4::new(dy.shape().c, x.shape().c, r, r));
@@ -301,6 +229,7 @@ impl WinogradConv {
 /// # Examples
 ///
 /// ```
+/// use wmpt_par::ParPool;
 /// use wmpt_winograd::{WinogradLayer, WinogradTransform};
 /// use wmpt_tensor::{DataGen, Shape4};
 ///
@@ -308,7 +237,7 @@ impl WinogradConv {
 /// let w = g.he_weights(Shape4::new(4, 2, 3, 3));
 /// let mut layer = WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
 /// let x = g.normal_tensor(Shape4::new(1, 2, 8, 8), 0.0, 1.0);
-/// let y = layer.fprop(&x);
+/// let y = layer.fprop_par(&ParPool::serial(), &x);
 /// assert_eq!(y.shape(), Shape4::new(1, 4, 8, 8));
 /// ```
 #[derive(Debug, Clone)]
@@ -354,40 +283,6 @@ impl WinogradLayer {
         &mut self.weights
     }
 
-    /// Forward propagation.
-    pub fn fprop(&self, x: &Tensor4) -> Tensor4 {
-        let wx = to_winograd_input(x, &self.tf);
-        let wy = elementwise_gemm(&wx, &self.weights);
-        let out_shape = Shape4::new(
-            x.shape().n,
-            self.weights.out_chans,
-            x.shape().h,
-            x.shape().w,
-        );
-        from_winograd_output(&wy, &self.tf, out_shape)
-    }
-
-    /// Backward propagation (exact gradient of [`Self::fprop`] w.r.t. `x`).
-    pub fn bprop(&self, dy: &Tensor4) -> Tensor4 {
-        let wdy = output_grad_to_winograd(dy, &self.tf);
-        let wdx = elementwise_gemm_bprop(&wdy, &self.weights);
-        let in_shape = Shape4::new(
-            dy.shape().n,
-            self.weights.in_chans,
-            dy.shape().h,
-            dy.shape().w,
-        );
-        input_grad_to_spatial(&wdx, &self.tf, in_shape)
-    }
-
-    /// Winograd-domain weight gradient `∇W_e = X_eᵀ ∂Y_e` — exactly what
-    /// each MPT worker produces for its element subset.
-    pub fn update_grad(&self, x: &Tensor4, dy: &Tensor4) -> WgWeights {
-        let wx = to_winograd_input(x, &self.tf);
-        let wdy = output_grad_to_winograd(dy, &self.tf);
-        elementwise_gemm_wgrad(&wx, &wdy)
-    }
-
     /// Applies an SGD step directly in the Winograd domain.
     ///
     /// # Panics
@@ -397,14 +292,10 @@ impl WinogradLayer {
         self.weights.sgd_step(grad, lr);
     }
 
-    /// Parallel [`Self::fprop`]: tile extraction, the per-element GEMMs
-    /// and the inverse transform each fan out across `pool`. Bit-identical
-    /// to the serial path for any job count (the `wmpt-par` determinism
-    /// contract).
+    /// Forward propagation: tile extraction, the per-element GEMMs and
+    /// the inverse transform each fan out across `pool`. Bit-identical
+    /// for any job count (the `wmpt-par` determinism contract).
     pub fn fprop_par(&self, pool: &ParPool, x: &Tensor4) -> Tensor4 {
-        if pool.jobs() <= 1 {
-            return self.fprop(x);
-        }
         let wx = to_winograd_input_par(pool, x, &self.tf);
         let wy = elementwise_gemm_par(pool, &wx, &self.weights);
         let out_shape = Shape4::new(
@@ -416,12 +307,9 @@ impl WinogradLayer {
         from_winograd_output_par(pool, &wy, &self.tf, out_shape)
     }
 
-    /// Parallel [`Self::bprop`] (same determinism contract as
-    /// [`Self::fprop_par`]).
+    /// Backward propagation: exact gradient of [`Self::fprop_par`] w.r.t.
+    /// `x` (same determinism contract).
     pub fn bprop_par(&self, pool: &ParPool, dy: &Tensor4) -> Tensor4 {
-        if pool.jobs() <= 1 {
-            return self.bprop(dy);
-        }
         let wdy = output_grad_to_winograd_par(pool, dy, &self.tf);
         let wdx = elementwise_gemm_bprop_par(pool, &wdy, &self.weights);
         let in_shape = Shape4::new(
@@ -433,12 +321,10 @@ impl WinogradLayer {
         input_grad_to_spatial_par(pool, &wdx, &self.tf, in_shape)
     }
 
-    /// Parallel [`Self::update_grad`] (same determinism contract as
-    /// [`Self::fprop_par`]).
+    /// Winograd-domain weight gradient `∇W_e = X_eᵀ ∂Y_e` — exactly what
+    /// each MPT worker produces for its element subset (same determinism
+    /// contract as [`Self::fprop_par`]).
     pub fn update_grad_par(&self, pool: &ParPool, x: &Tensor4, dy: &Tensor4) -> WgWeights {
-        if pool.jobs() <= 1 {
-            return self.update_grad(x, dy);
-        }
         let wx = to_winograd_input_par(pool, x, &self.tf);
         let wdy = output_grad_to_winograd_par(pool, dy, &self.tf);
         elementwise_gemm_wgrad_par(pool, &wx, &wdy)
@@ -449,6 +335,7 @@ impl WinogradLayer {
 mod tests {
     use super::*;
     use crate::DirectConv;
+    use wmpt_tensor::ops::BLOCKED_MIN_MACS;
     use wmpt_tensor::DataGen;
 
     fn setup(seed: u64) -> (Tensor4, Tensor4, Tensor4) {
@@ -528,7 +415,12 @@ mod tests {
         let (x, w, _) = setup(6);
         let conv = WinogradConv::new(WinogradTransform::f2x2_3x3());
         let layer = WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
-        assert!(layer.fprop(&x).max_abs_diff(&conv.fprop(&x, &w)) < 1e-6);
+        assert!(
+            layer
+                .fprop_par(&ParPool::serial(), &x)
+                .max_abs_diff(&conv.fprop(&x, &w))
+                < 1e-6
+        );
     }
 
     #[test]
@@ -540,13 +432,13 @@ mod tests {
         let w = g.he_weights(Shape4::new(2, 2, 3, 3));
         let dy = g.normal_tensor(Shape4::new(1, 2, 4, 4), 0.0, 1.0);
         let mut layer = WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
-        let grad = layer.update_grad(&x, &dy);
+        let grad = layer.update_grad_par(&ParPool::serial(), &x, &dy);
         let eps = 1e-2f32;
         for probe in [0usize, 7, 23, grad.data.len() - 1] {
             let base = layer.weights.data[probe];
             layer.weights.data[probe] = base + eps;
             let lp: f64 = layer
-                .fprop(&x)
+                .fprop_par(&ParPool::serial(), &x)
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -554,7 +446,7 @@ mod tests {
                 .sum();
             layer.weights.data[probe] = base - eps;
             let lm: f64 = layer
-                .fprop(&x)
+                .fprop_par(&ParPool::serial(), &x)
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -578,14 +470,14 @@ mod tests {
         let w = g.he_weights(Shape4::new(2, 2, 3, 3));
         let dy = g.normal_tensor(Shape4::new(1, 2, 4, 4), 0.0, 1.0);
         let layer = WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
-        let dx = layer.bprop(&dy);
+        let dx = layer.bprop_par(&ParPool::serial(), &dy);
         let eps = 1e-2f32;
         let mut xp = x.clone();
         for probe in [(0usize, 0usize, 0usize, 0usize), (0, 1, 2, 3), (0, 0, 3, 3)] {
             let base = x[probe];
             xp[probe] = base + eps;
             let lp: f64 = layer
-                .fprop(&xp)
+                .fprop_par(&ParPool::serial(), &xp)
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -593,7 +485,7 @@ mod tests {
                 .sum();
             xp[probe] = base - eps;
             let lm: f64 = layer
-                .fprop(&xp)
+                .fprop_par(&ParPool::serial(), &xp)
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -606,55 +498,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_layer_phases_are_bit_identical_to_serial() {
-        // Satellite gate (layer half): fprop/bprop/updateGrad under
-        // jobs ∈ {1, 2, 7} must equal the serial path bit for bit.
-        let mut g = DataGen::new(12);
-        let x = g.normal_tensor(Shape4::new(3, 3, 9, 9), 0.0, 1.0);
-        let w = g.he_weights(Shape4::new(4, 3, 3, 3));
-        let dy = g.normal_tensor(Shape4::new(3, 4, 9, 9), 0.0, 1.0);
-        let layer = WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
-        let y0: Vec<u32> = layer
-            .fprop(&x)
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let dx0: Vec<u32> = layer
-            .bprop(&dy)
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let dw0: Vec<u32> = layer
-            .update_grad(&x, &dy)
-            .data
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        for jobs in [1usize, 2, 7] {
-            let pool = wmpt_par::ParPool::new(jobs);
-            let y: Vec<u32> = layer
-                .fprop_par(&pool, &x)
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let dx: Vec<u32> = layer
-                .bprop_par(&pool, &dy)
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let dw: Vec<u32> = layer
-                .update_grad_par(&pool, &x, &dy)
-                .data
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(y0, y, "fprop diverged at jobs={jobs}");
-            assert_eq!(dx0, dx, "bprop diverged at jobs={jobs}");
-            assert_eq!(dw0, dw, "update_grad diverged at jobs={jobs}");
+    fn layer_phases_are_bit_identical_for_any_jobs() {
+        // fprop/bprop/updateGrad at jobs ∈ {2, 7} must equal jobs = 1 bit
+        // for bit. Batch 1 gives the per-image transforms a single task,
+        // batch 3 several; 3→4 channels keep every element GEMM below the
+        // BLOCKED_MIN_MACS cutoff, 8→8 above it.
+        let tf = WinogradTransform::f2x2_3x3();
+        for (n, i, j) in [(3, 3, 4), (1, 3, 4), (3, 8, 8)] {
+            let mut g = DataGen::new(12);
+            let x = g.normal_tensor(Shape4::new(n, i, 9, 9), 0.0, 1.0);
+            let w = g.he_weights(Shape4::new(j, i, 3, 3));
+            let dy = g.normal_tensor(Shape4::new(n, j, 9, 9), 0.0, 1.0);
+            let layer = WinogradLayer::from_spatial(tf.clone(), &w);
+            let tiles = n * crate::Tiling::new(&tf, 9, 9).tiles_per_image();
+            assert_eq!(tiles * i * j >= BLOCKED_MIN_MACS, j == 8);
+            let run = |jobs: usize| {
+                let pool = ParPool::new(jobs);
+                let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                (
+                    bits(layer.fprop_par(&pool, &x).as_slice()),
+                    bits(layer.bprop_par(&pool, &dy).as_slice()),
+                    bits(&layer.update_grad_par(&pool, &x, &dy).data),
+                )
+            };
+            let serial = run(1);
+            for jobs in [2, 7] {
+                let (y, dx, dw) = run(jobs);
+                assert_eq!(serial.0, y, "fprop diverged at n={n} jobs={jobs}");
+                assert_eq!(serial.1, dx, "bprop diverged at n={n} jobs={jobs}");
+                assert_eq!(serial.2, dw, "update_grad diverged at n={n} jobs={jobs}");
+            }
         }
     }
 
@@ -667,7 +540,7 @@ mod tests {
         let target = g.normal_tensor(Shape4::new(1, 2, 4, 4), 0.0, 1.0);
         let mut layer = WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
         let loss = |l: &WinogradLayer| -> f64 {
-            l.fprop(&x)
+            l.fprop_par(&ParPool::serial(), &x)
                 .as_slice()
                 .iter()
                 .zip(target.as_slice())
@@ -675,12 +548,12 @@ mod tests {
                 .sum()
         };
         let l0 = loss(&layer);
-        let y = layer.fprop(&x);
+        let y = layer.fprop_par(&ParPool::serial(), &x);
         let mut dy = y.clone();
         for (d, t) in dy.as_mut_slice().iter_mut().zip(target.as_slice()) {
             *d -= t;
         }
-        let grad = layer.update_grad(&x, &dy);
+        let grad = layer.update_grad_par(&ParPool::serial(), &x, &dy);
         layer.apply_grad(&grad, 0.01);
         let l1 = loss(&layer);
         assert!(l1 < l0, "loss did not decrease: {l0} -> {l1}");

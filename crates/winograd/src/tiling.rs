@@ -218,20 +218,37 @@ impl WgWeights {
     }
 }
 
-/// Extracts and transforms every tile of image `b` into `out`, placing
-/// tile `(ty, tx)` at `tile_base + ty * tiles_w + tx`. Shared by the
-/// serial and parallel input transforms so both run identical arithmetic.
+/// Splits `out`'s storage into one list per image of the `T²` runs (one
+/// per element) that hold the image's `tpi` tiles: image `b`'s tiles sit
+/// at tile index `b * tpi ..` of every element. The runs are disjoint, so
+/// the pool writes every image straight into the batch tensor, and the
+/// result does not depend on which worker wrote which image.
+fn image_runs(out: &mut WgTensor, tpi: usize) -> Vec<Vec<&mut [f32]>> {
+    let (elems, run) = (out.elems, tpi * out.chans);
+    let mut images: Vec<Vec<&mut [f32]>> = (0..out.tiles / tpi.max(1))
+        .map(|_| Vec::with_capacity(elems))
+        .collect();
+    for elem in out.data.chunks_mut((out.tiles * out.chans).max(1)) {
+        for (img, r) in images.iter_mut().zip(elem.chunks_mut(run.max(1))) {
+            img.push(r);
+        }
+    }
+    images
+}
+
+/// Extracts and transforms every tile of image `b` into its element
+/// runs (see [`image_runs`]), tile `(ty, tx)` at `ty * tiles_w + tx`.
 fn image_to_winograd_into(
     x: &Tensor4,
     b: usize,
     tf: &WinogradTransform,
     tl: &Tiling,
-    out: &mut WgTensor,
-    tile_base: usize,
+    runs: &mut [&mut [f32]],
 ) {
     let t = tl.t;
+    let chans = x.shape().c;
     let mut tile_buf = vec![0.0f32; t * t];
-    for c in 0..x.shape().c {
+    for c in 0..chans {
         for ty in 0..tl.tiles_h {
             for tx in 0..tl.tiles_w {
                 let (oy, ox) = tl.tile_origin(ty, tx);
@@ -240,59 +257,28 @@ fn image_to_winograd_into(
                         tile_buf[u * t + v] = x.get_padded(b, c, oy + u as isize, ox + v as isize);
                     }
                 }
-                let tx_dom = tf.input_2d(&tile_buf);
-                out.scatter_tile(tile_base + ty * tl.tiles_w + tx, c, &tx_dom);
+                let at = (ty * tl.tiles_w + tx) * chans + c;
+                for (run, v) in runs.iter_mut().zip(tf.input_2d(&tile_buf)) {
+                    run[at] = v;
+                }
             }
         }
     }
 }
 
-/// Copies per-image element-major tensors (each `tpi` tiles) into their
-/// batch positions of `out` — image `b`'s tiles land at
-/// `tile index b * tpi ..` of every element. A pure relayout, so the
-/// merged tensor is bit-identical to one produced serially.
-fn merge_per_image_wg(per_image: &[WgTensor], out: &mut WgTensor, tpi: usize) {
-    let chans = out.chans;
-    let run = tpi * chans;
-    for (b, img) in per_image.iter().enumerate() {
-        for e in 0..out.elems {
-            let dst = (e * out.tiles + b * tpi) * chans;
-            out.data[dst..dst + run].copy_from_slice(&img.data[e * run..(e + 1) * run]);
-        }
-    }
-}
-
 /// Transforms a spatial feature map into the Winograd domain
-/// (tile extraction + 2-D input transform, `Bᵀ x B` per tile).
-pub fn to_winograd_input(x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
-    let s = x.shape();
-    let tl = Tiling::new(tf, s.h, s.w);
-    let tpi = tl.tiles_per_image();
-    let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    for b in 0..s.n {
-        image_to_winograd_into(x, b, tf, &tl, &mut out, b * tpi);
-    }
-    out
-}
-
-/// Parallel [`to_winograd_input`]: images are extracted and transformed
-/// independently across the pool, then relaid out into the batch-wide
-/// element-major tensor in image order. Bit-identical to the serial
-/// version for any job count.
+/// (tile extraction + 2-D input transform, `Bᵀ x B` per tile). Images
+/// are extracted and transformed independently across the pool, each
+/// into its own runs of the batch-wide element-major tensor, so the
+/// result is bit-identical for any job count.
 pub fn to_winograd_input_par(pool: &ParPool, x: &Tensor4, tf: &WinogradTransform) -> WgTensor {
     let s = x.shape();
-    if pool.jobs() <= 1 || s.n <= 1 {
-        return to_winograd_input(x, tf);
-    }
     let tl = Tiling::new(tf, s.h, s.w);
     let tpi = tl.tiles_per_image();
-    let per_image = pool.map_indexed(s.n, |b| {
-        let mut img = WgTensor::zeros(tl.t * tl.t, tpi, s.c);
-        image_to_winograd_into(x, b, tf, &tl, &mut img, 0);
-        img
-    });
     let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    merge_per_image_wg(&per_image, &mut out, tpi);
+    pool.for_each_chunk_mut(&mut image_runs(&mut out, tpi), 1, |b, img| {
+        image_to_winograd_into(x, b, tf, &tl, &mut img[0]);
+    });
     out
 }
 
@@ -353,30 +339,8 @@ pub fn weights_to_winograd(w: &Tensor4, tf: &WinogradTransform) -> WgWeights {
     out
 }
 
-/// Inverse-transforms a Winograd-domain output (`tiles × J` per element)
-/// back to a spatial feature map of shape `out_shape`
-/// (`Aᵀ Y A` per tile + tile assembly; edge tiles are cropped).
-///
-/// # Panics
-///
-/// Panics if the tile geometry of `y` does not match `out_shape` under `tf`.
-pub fn from_winograd_output(y: &WgTensor, tf: &WinogradTransform, out_shape: Shape4) -> Tensor4 {
-    let tl = Tiling::new(tf, out_shape.h, out_shape.w);
-    let tpi = tl.tiles_per_image();
-    assert_eq!(y.tiles, out_shape.n * tpi, "tile count mismatch");
-    assert_eq!(y.chans, out_shape.c, "channel count mismatch");
-    assert_eq!(y.elems, tl.t * tl.t, "element count mismatch");
-    let mut out = Tensor4::zeros(out_shape);
-    let stride = out_shape.c * out_shape.h * out_shape.w;
-    for (b, img) in out.as_mut_slice().chunks_mut(stride).enumerate() {
-        image_from_winograd_into(y, tf, &tl, b, out_shape, img);
-    }
-    out
-}
-
 /// Inverse-transforms every tile of image `b` of `y` into the image's
-/// contiguous NCHW slice `img` (length `c * h * w`). Shared by the serial
-/// and parallel inverse transforms.
+/// contiguous NCHW slice `img` (length `c * h * w`).
 fn image_from_winograd_into(
     y: &WgTensor,
     tf: &WinogradTransform,
@@ -412,9 +376,11 @@ fn image_from_winograd_into(
     }
 }
 
-/// Parallel [`from_winograd_output`]: each image's inverse transform and
-/// tile assembly writes a disjoint contiguous NCHW slice, fanned out
-/// across the pool. Bit-identical to the serial version for any job count.
+/// Inverse-transforms a Winograd-domain output (`tiles × J` per element)
+/// back to a spatial feature map of shape `out_shape`
+/// (`Aᵀ Y A` per tile + tile assembly; edge tiles are cropped). Each
+/// image's inverse transform writes a disjoint contiguous NCHW slice,
+/// fanned out across the pool; bit-identical for any job count.
 ///
 /// # Panics
 ///
@@ -425,9 +391,6 @@ pub fn from_winograd_output_par(
     tf: &WinogradTransform,
     out_shape: Shape4,
 ) -> Tensor4 {
-    if pool.jobs() <= 1 || out_shape.n <= 1 {
-        return from_winograd_output(y, tf, out_shape);
-    }
     let tl = Tiling::new(tf, out_shape.h, out_shape.w);
     let tpi = tl.tiles_per_image();
     assert_eq!(y.tiles, out_shape.n * tpi, "tile count mismatch");
@@ -441,30 +404,15 @@ pub fn from_winograd_output_par(
     out
 }
 
-/// Pushes a spatial output gradient into the Winograd domain
-/// (`A ∂y Aᵀ` per tile — the adjoint of [`from_winograd_output`]).
-pub fn output_grad_to_winograd(dy: &Tensor4, tf: &WinogradTransform) -> WgTensor {
-    let s = dy.shape();
-    let tl = Tiling::new(tf, s.h, s.w);
-    let tpi = tl.tiles_per_image();
-    let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    for b in 0..s.n {
-        image_grad_to_winograd_into(dy, b, tf, &tl, &mut out, b * tpi);
-    }
-    out
-}
-
-/// Pushes the output gradient of image `b` into `out` (adjoint of the
-/// inverse transform), placing tile `(ty, tx)` at
-/// `tile_base + ty * tiles_w + tx`. Shared by the serial and parallel
-/// adjoint transforms.
+/// Pushes the output gradient of image `b` into its element runs (see
+/// [`image_runs`]) — the adjoint of the inverse transform — tile
+/// `(ty, tx)` at `ty * tiles_w + tx`.
 fn image_grad_to_winograd_into(
     dy: &Tensor4,
     b: usize,
     tf: &WinogradTransform,
     tl: &Tiling,
-    out: &mut WgTensor,
-    tile_base: usize,
+    runs: &mut [&mut [f32]],
 ) {
     let s = dy.shape();
     let m = tl.m;
@@ -486,56 +434,38 @@ fn image_grad_to_winograd_into(
                         buf[u * m + v] = dy[(b, j, oy, ox)];
                     }
                 }
-                let wg = tf.inverse_2d_grad(&buf);
-                out.scatter_tile(tile_base + ty * tl.tiles_w + tx, j, &wg);
+                let at = (ty * tl.tiles_w + tx) * s.c + j;
+                for (run, v) in runs.iter_mut().zip(tf.inverse_2d_grad(&buf)) {
+                    run[at] = v;
+                }
             }
         }
     }
 }
 
-/// Parallel [`output_grad_to_winograd`] (per-image fan-out, merged in
-/// image order; bit-identical to serial for any job count).
+/// Pushes a spatial output gradient into the Winograd domain
+/// (`A ∂y Aᵀ` per tile — the adjoint of [`from_winograd_output_par`]).
+/// Images fan out across the pool like [`to_winograd_input_par`];
+/// bit-identical for any job count.
 pub fn output_grad_to_winograd_par(
     pool: &ParPool,
     dy: &Tensor4,
     tf: &WinogradTransform,
 ) -> WgTensor {
     let s = dy.shape();
-    if pool.jobs() <= 1 || s.n <= 1 {
-        return output_grad_to_winograd(dy, tf);
-    }
     let tl = Tiling::new(tf, s.h, s.w);
     let tpi = tl.tiles_per_image();
-    let per_image = pool.map_indexed(s.n, |b| {
-        let mut img = WgTensor::zeros(tl.t * tl.t, tpi, s.c);
-        image_grad_to_winograd_into(dy, b, tf, &tl, &mut img, 0);
-        img
-    });
     let mut out = WgTensor::zeros(tl.t * tl.t, s.n * tpi, s.c);
-    merge_per_image_wg(&per_image, &mut out, tpi);
-    out
-}
-
-/// Pushes a Winograd-domain input gradient back to the spatial domain
-/// (`B ∂X Bᵀ` per tile + overlapped accumulation — the adjoint of
-/// [`to_winograd_input`]).
-pub fn input_grad_to_spatial(dx: &WgTensor, tf: &WinogradTransform, in_shape: Shape4) -> Tensor4 {
-    let tl = Tiling::new(tf, in_shape.h, in_shape.w);
-    let tpi = tl.tiles_per_image();
-    assert_eq!(dx.tiles, in_shape.n * tpi, "tile count mismatch");
-    assert_eq!(dx.chans, in_shape.c, "channel count mismatch");
-    let mut out = Tensor4::zeros(in_shape);
-    let stride = in_shape.c * in_shape.h * in_shape.w;
-    for (b, img) in out.as_mut_slice().chunks_mut(stride).enumerate() {
-        image_input_grad_into(dx, tf, &tl, b, in_shape, img);
-    }
+    pool.for_each_chunk_mut(&mut image_runs(&mut out, tpi), 1, |b, img| {
+        image_grad_to_winograd_into(dy, b, tf, &tl, &mut img[0]);
+    });
     out
 }
 
 /// Accumulates image `b`'s overlapped tile gradients into the image's
 /// contiguous NCHW slice `img`. Tiles only ever overlap within one image,
-/// so images are independent. The accumulation order over `(ty, tx)` is
-/// the same for serial and parallel callers.
+/// so images are independent. The accumulation order over `(ty, tx)`
+/// does not depend on the pool.
 fn image_input_grad_into(
     dx: &WgTensor,
     tf: &WinogradTransform,
@@ -572,10 +502,12 @@ fn image_input_grad_into(
     }
 }
 
-/// Parallel [`input_grad_to_spatial`]: each image's overlapped
-/// accumulation stays on one thread (preserving the serial addition
-/// order), images fan out across the pool into disjoint NCHW slices.
-/// Bit-identical to the serial version for any job count.
+/// Pushes a Winograd-domain input gradient back to the spatial domain
+/// (`B ∂X Bᵀ` per tile + overlapped accumulation — the adjoint of
+/// [`to_winograd_input_par`]). Each image's overlapped accumulation
+/// stays on one thread, in a fixed `(ty, tx)` order; images fan out
+/// across the pool into disjoint NCHW slices. Bit-identical for any job
+/// count.
 ///
 /// # Panics
 ///
@@ -586,9 +518,6 @@ pub fn input_grad_to_spatial_par(
     tf: &WinogradTransform,
     in_shape: Shape4,
 ) -> Tensor4 {
-    if pool.jobs() <= 1 || in_shape.n <= 1 {
-        return input_grad_to_spatial(dx, tf, in_shape);
-    }
     let tl = Tiling::new(tf, in_shape.h, in_shape.w);
     let tpi = tl.tiles_per_image();
     assert_eq!(dx.tiles, in_shape.n * tpi, "tile count mismatch");
@@ -639,7 +568,7 @@ mod tests {
         for c in 0..3 {
             w[(c, c, 1, 1)] = 1.0;
         }
-        let wx = to_winograd_input(&x, &tf);
+        let wx = to_winograd_input_par(&ParPool::serial(), &x, &tf);
         let ww = weights_to_winograd(&w, &tf);
         // Element-wise GEMM: y_e = x_e * w_e
         let mut y = WgTensor::zeros(wx.elems, wx.tiles, 3);
@@ -655,7 +584,7 @@ mod tests {
                 }
             }
         }
-        let back = from_winograd_output(&y, &tf, shape);
+        let back = from_winograd_output_par(&ParPool::serial(), &y, &tf, shape);
         assert!(
             back.max_abs_diff(&x) < 1e-4,
             "diff {}",
@@ -665,7 +594,7 @@ mod tests {
 
     #[test]
     fn output_grad_adjoint_property() {
-        // <from_winograd_output(Y), dy> == <Y, output_grad_to_winograd(dy)>
+        // <from_winograd_output_par(Y), dy> == <Y, output_grad_to_winograd_par(dy)>
         let tf = WinogradTransform::f2x2_3x3();
         let mut gen = DataGen::new(5);
         let shape = Shape4::new(1, 2, 5, 5); // non-divisible: exercises cropping
@@ -676,8 +605,8 @@ mod tests {
             *v = gen.normal(0.0, 1.0) as f32;
         }
         let dy = gen.normal_tensor(shape, 0.0, 1.0);
-        let fwd = from_winograd_output(&y, &tf, shape);
-        let bwd = output_grad_to_winograd(&dy, &tf);
+        let fwd = from_winograd_output_par(&ParPool::serial(), &y, &tf, shape);
+        let bwd = output_grad_to_winograd_par(&ParPool::serial(), &dy, &tf);
         let lhs: f64 = fwd
             .as_slice()
             .iter()
@@ -695,7 +624,7 @@ mod tests {
 
     #[test]
     fn input_grad_adjoint_property() {
-        // <to_winograd_input(x), dX> == <x, input_grad_to_spatial(dX)>
+        // <to_winograd_input_par(x), dX> == <x, input_grad_to_spatial_par(dX)>
         let tf = WinogradTransform::f4x4_3x3();
         let mut gen = DataGen::new(6);
         let shape = Shape4::new(1, 2, 7, 7);
@@ -706,8 +635,8 @@ mod tests {
         for v in &mut dxw.data {
             *v = gen.normal(0.0, 1.0) as f32;
         }
-        let fwd = to_winograd_input(&x, &tf);
-        let bwd = input_grad_to_spatial(&dxw, &tf, shape);
+        let fwd = to_winograd_input_par(&ParPool::serial(), &x, &tf);
+        let bwd = input_grad_to_spatial_par(&ParPool::serial(), &dxw, &tf, shape);
         let lhs: f64 = fwd
             .data
             .iter()

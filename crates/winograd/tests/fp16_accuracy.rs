@@ -7,7 +7,7 @@
 //! FP16 Winograd kernels.
 
 use wmpt_tensor::{quantize_tensor_f16, DataGen, Shape4};
-use wmpt_winograd::{DirectConv, WinogradConv, WinogradTransform};
+use wmpt_winograd::{DirectConv, ParPool, WinogradConv, WinogradTransform};
 
 #[test]
 fn fp16_winograd_tracks_fp32_direct() {
@@ -59,8 +59,9 @@ fn fp16_gradients_remain_usable() {
     quantize_tensor_f16(&mut w);
     let target = g.normal_tensor(Shape4::new(2, 4, 8, 8), 0.0, 1.0);
     let mut layer = wmpt_winograd::WinogradLayer::from_spatial(WinogradTransform::f2x2_3x3(), &w);
+    let pool = ParPool::serial();
     let loss = |l: &wmpt_winograd::WinogradLayer| -> f64 {
-        l.fprop(&x)
+        l.fprop_par(&pool, &x)
             .as_slice()
             .iter()
             .zip(target.as_slice())
@@ -68,13 +69,13 @@ fn fp16_gradients_remain_usable() {
             .sum()
     };
     let before = loss(&layer);
-    let y = layer.fprop(&x);
+    let y = layer.fprop_par(&pool, &x);
     let mut dy = y;
     for (d, t) in dy.as_mut_slice().iter_mut().zip(target.as_slice()) {
         *d -= t;
     }
     quantize_tensor_f16(&mut dy); // fp16 gradients on the wire
-    let grad = layer.update_grad(&x, &dy);
+    let grad = layer.update_grad_par(&pool, &x, &dy);
     layer.apply_grad(&grad, 0.002);
     let after = loss(&layer);
     assert!(after < before, "loss {before} -> {after}");

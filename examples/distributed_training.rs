@@ -7,10 +7,10 @@
 //! cargo run --example distributed_training
 //! ```
 
-use winograd_mpt::core::{fprop_distributed, train_step_distributed};
+use winograd_mpt::core::{fprop_distributed_par, train_step_distributed_par};
 use winograd_mpt::noc::ClusterConfig;
 use winograd_mpt::tensor::{DataGen, Shape4};
-use winograd_mpt::winograd::{WinogradLayer, WinogradTransform};
+use winograd_mpt::winograd::{ParPool, WinogradLayer, WinogradTransform};
 
 fn main() {
     let mut gen = DataGen::new(7);
@@ -24,11 +24,12 @@ fn main() {
     // 4 groups (tile lines) x 2 clusters (batch halves) = 8 logical
     // workers, the same partitioning the 256-worker system uses.
     let grid = ClusterConfig::new(4, 2);
+    let pool = ParPool::serial();
 
     println!("training a Winograd layer, centralized vs MPT-distributed ({grid}):");
     for step in 0..8 {
         // Centralized step.
-        let y = central.fprop(&x);
+        let y = central.fprop_par(&pool, &x);
         let mut dy = y.clone();
         let n = dy.shape().len() as f32;
         for (d, t) in dy.as_mut_slice().iter_mut().zip(target.as_slice()) {
@@ -40,16 +41,16 @@ fn main() {
             .map(|v| 0.5 * (*v as f64 * n as f64).powi(2))
             .sum::<f64>()
             / n as f64;
-        let g = central.update_grad(&x, &dy);
+        let g = central.update_grad_par(&pool, &x, &dy);
         central.apply_grad(&g, 0.05);
 
         // Distributed step: same math, partitioned execution.
-        let yd = fprop_distributed(&dist, grid, &x);
+        let yd = fprop_distributed_par(&pool, &dist, grid, &x);
         let mut dyd = yd.clone();
         for (d, t) in dyd.as_mut_slice().iter_mut().zip(target.as_slice()) {
             *d = (*d - t) / n;
         }
-        train_step_distributed(&mut dist, grid, &x, &dyd, 0.05);
+        train_step_distributed_par(&pool, &mut dist, grid, &x, &dyd, 0.05);
 
         let wdiff: f32 = dist
             .weights()
