@@ -1,11 +1,12 @@
-//! Single-pass streaming analytics over a trace-event stream.
+//! The trace-analysis engine: critical-path attribution and per-track
+//! utilization in a single pass over a trace-event stream.
 //!
-//! The batch path ([`crate::Analysis::of_trace`]) needs the whole trace
-//! in memory. [`StreamAnalyzer`] consumes [`TraceEvent`]s one at a time
-//! — e.g. straight off a `StreamingTracer` JSONL file — and produces a
-//! [`StreamAnalysis`] whose metrics and rendered report are *identical*
-//! to the batch path's, while holding only the spans of the current
-//! epoch (O(open-window), not O(all-spans)).
+//! [`StreamAnalyzer`] consumes [`TraceEvent`]s one at a time — e.g.
+//! straight off a `StreamingTracer` JSONL file — and holds only the
+//! spans of the current epoch (O(open-window), not O(all-spans)).
+//! The batch path, [`crate::Analysis::of_trace`], runs the same engine
+//! over a whole in-memory trace as one chunk, which accepts spans in any
+//! order.
 //!
 //! # Epochs
 //!
@@ -19,28 +20,28 @@
 //! and drops spans that end at or before it. The invariant is checked,
 //! not assumed: an event starting before the finalized frontier makes
 //! [`StreamAnalyzer::event`] return an error, and callers (the `analyze`
-//! CLI) fall back to batch analysis. Traces with no `layer` spans at all
-//! buffer until [`StreamAnalyzer::finish`] and use the batch fallback
-//! domain (the extent of all spans), again matching batch output.
+//! CLI) fall back to the batch path. Traces with no `layer` spans
+//! at all buffer until [`StreamAnalyzer::finish`] and use the extent of
+//! all spans as their domain.
 //!
-//! Chunked extraction equals batch extraction by construction: the
+//! Chunked analysis equals batch analysis by construction: the
 //! elementary-interval attribution is time-local (an interval's owner
 //! depends only on the spans covering it, all of which have arrived
 //! before its chunk is finalized), busy time is an interval-union length
 //! (additive over any partition of the timeline), and segments merge
-//! across chunk boundaries through a carried open segment exactly the
-//! way the batch `push` closure merges adjacent slices.
+//! across chunk boundaries through a carried open segment.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use wmpt_obs::{jsonl_events, TraceEvent};
+use wmpt_obs::{jsonl_events, TraceEvent, Tracer};
 use wmpt_sim::Time;
 
-use crate::critpath::{attribution_metrics, interval_union, render_attribution_table, Category};
+use crate::critpath::{interval_union, Category};
 use crate::report::{Bottleneck, TrackUtilization, UtilizationReport};
+use crate::Analysis;
 
 /// A buffered span of the current epoch.
 #[derive(Debug, Clone)]
@@ -53,7 +54,7 @@ struct PendSpan {
 }
 
 /// Ordering of the bottleneck list: heaviest first, then earliest start,
-/// then track and name — the exact comparator the batch report sorts by.
+/// then track and name. Full ties keep recording order.
 fn bottleneck_order(a: &Bottleneck, b: &Bottleneck) -> Ordering {
     b.cycles
         .cmp(&a.cycles)
@@ -98,8 +99,8 @@ impl StreamAnalyzer {
 
     /// Consumes one event. Errors on a non-dense track registration, a
     /// span on an unregistered track, or a span starting before the
-    /// finalized frontier (a trace that is not epoch-ordered — use the
-    /// batch path for those).
+    /// finalized frontier (a trace that is not epoch-ordered — use
+    /// [`crate::Analysis::of_trace`] for those).
     pub fn event(&mut self, ev: &TraceEvent) -> Result<(), String> {
         match ev {
             TraceEvent::Track { tid, name } => {
@@ -109,11 +110,7 @@ impl StreamAnalyzer {
                             return Err(format!("tid {tid} registered twice"));
                         }
                     }
-                    Ordering::Equal => {
-                        self.tracks.push(name.clone());
-                        self.any_work.push(false);
-                        self.busy.push(0);
-                    }
+                    Ordering::Equal => self.register(name),
                     Ordering::Greater => {
                         return Err(format!(
                             "non-dense track registration: tid {tid} after {} tracks",
@@ -144,33 +141,57 @@ impl StreamAnalyzer {
                 if is_layer && self.seen_span && !self.prev_was_layer {
                     self.finalize_to(*start);
                 }
-                if is_layer {
-                    self.saw_layer = true;
-                } else if cat != "idle" {
-                    self.any_work[*tid] = true;
-                    if end > start {
-                        self.push_bottleneck(Bottleneck {
-                            track: self.tracks[*tid].clone(),
-                            cat: cat.clone(),
-                            name: name.clone(),
-                            start: *start,
-                            cycles: end - start,
-                        });
-                    }
-                }
-                self.pending.push(PendSpan {
-                    tid: *tid,
-                    cat: cat.clone(),
-                    name: name.clone(),
-                    start: *start,
-                    end: *end,
-                });
-                self.peak_pending_spans = self.peak_pending_spans.max(self.pending.len());
                 self.seen_span = true;
                 self.prev_was_layer = is_layer;
+                self.buffer(*tid, cat, name, *start, *end);
                 Ok(())
             }
         }
+    }
+
+    /// Analyzes a whole in-memory trace as one chunk: no epoch boundary
+    /// is taken, so any span order is accepted.
+    pub(crate) fn whole_trace(mut self, trace: &Tracer) -> Analysis {
+        for name in trace.tracks() {
+            self.register(name);
+        }
+        for sp in trace.spans() {
+            self.buffer(sp.track.index(), &sp.cat, &sp.name, sp.start, sp.end);
+        }
+        self.finish()
+    }
+
+    fn register(&mut self, name: &str) {
+        self.tracks.push(name.to_string());
+        self.any_work.push(false);
+        self.busy.push(0);
+    }
+
+    /// Holds a span until its chunk is finalized and offers work spans
+    /// to the bottleneck list.
+    fn buffer(&mut self, tid: usize, cat: &str, name: &str, start: Time, end: Time) {
+        if cat == "layer" {
+            self.saw_layer = true;
+        } else if cat != "idle" {
+            self.any_work[tid] = true;
+            if end > start {
+                self.push_bottleneck(Bottleneck {
+                    track: self.tracks[tid].clone(),
+                    cat: cat.to_string(),
+                    name: name.to_string(),
+                    start,
+                    cycles: end - start,
+                });
+            }
+        }
+        self.pending.push(PendSpan {
+            tid,
+            cat: cat.to_string(),
+            name: name.to_string(),
+            start,
+            end,
+        });
+        self.peak_pending_spans = self.peak_pending_spans.max(self.pending.len());
     }
 
     fn push_bottleneck(&mut self, b: Bottleneck) {
@@ -179,9 +200,8 @@ impl StreamAnalyzer {
         }
         if self.bottlenecks.len() == self.top_k {
             if let Some(last) = self.bottlenecks.last() {
-                // Not better than the current boundary: the batch sort
-                // (stable, earlier recording first on full ties) would
-                // have truncated it too.
+                // Not better than the current boundary: on a full tie
+                // the earlier recording keeps its place.
                 if bottleneck_order(last, &b) != Ordering::Greater {
                     return;
                 }
@@ -222,7 +242,7 @@ impl StreamAnalyzer {
 
         // Per-track busy: union length of work intervals ∩ domain.
         // Chunks partition the timeline, so per-chunk unions add up to
-        // exactly the batch union.
+        // exactly the whole-trace union.
         let mut per_track: BTreeMap<usize, Vec<(Time, Time)>> = BTreeMap::new();
         for sp in &self.pending {
             if sp.cat == "idle" || sp.cat == "layer" {
@@ -236,12 +256,12 @@ impl StreamAnalyzer {
             }
         }
         for (tid, iv) in per_track {
-            self.busy[tid] += super::critpath::domain_cycles(&interval_union(iv));
+            self.busy[tid] += interval_union(iv).iter().map(|(s, e)| e - s).sum::<Time>();
         }
 
         // Critical path over the chunk: clipped work spans in recording
-        // order, elementary intervals, most-blocking span wins (last
-        // maximal on ties, as in the batch `max_by_key`).
+        // order, elementary intervals, most-blocking span wins (the last
+        // recorded on ties: `max_by_key` keeps the last maximum).
         let mut work: Vec<(Time, Time, Category, &str)> = Vec::new();
         for sp in &self.pending {
             let Some(cat) = Category::from_span_cat(&sp.cat) else {
@@ -277,6 +297,8 @@ impl StreamAnalyzer {
                 .max_by_key(|&&(_, _, cat, _)| cat);
             match best {
                 Some(&(_, _, cat, name)) => claims.push((a, b, cat, name.to_string())),
+                // In-window cycles with no recorded work: count them as
+                // pipeline stall so they cannot inflate compute share.
                 None => claims.push((a, b, Category::DramStall, "(untraced)".to_string())),
             }
         }
@@ -285,8 +307,9 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Extends or commits segments exactly like the batch `push` closure,
-    /// with the open segment carried across chunk boundaries.
+    /// Extends the open segment when the slice continues it (same end,
+    /// category and span name), otherwise commits it and opens a new one.
+    /// The open segment carries across chunk boundaries.
     fn push_segment(&mut self, start: Time, end: Time, cat: Category, name: &str) {
         *self
             .attribution
@@ -303,15 +326,15 @@ impl StreamAnalyzer {
     }
 
     /// Finalizes the remaining pending spans and builds the reports.
-    pub fn finish(mut self) -> StreamAnalysis {
+    pub fn finish(mut self) -> Analysis {
         let extent = self.pending.iter().map(|s| s.end).max().unwrap_or(0);
         if self.saw_layer {
             self.finalize_to(extent.max(self.processed));
         } else if !self.pending.is_empty() {
-            // Batch fallback for traces without layer windows: the
-            // domain is the extent of all spans. Nothing was finalized
-            // earlier (boundaries only occur on layer spans), so this is
-            // the whole trace in one chunk.
+            // A trace without layer windows: the domain is the extent of
+            // all spans. Nothing was finalized earlier (boundaries only
+            // occur on layer spans), so this is the whole trace in one
+            // chunk.
             let domain = interval_union(self.pending.iter().map(|s| (s.start, s.end)).collect());
             self.process_chunk(&domain);
             self.processed = extent;
@@ -343,7 +366,7 @@ impl StreamAnalyzer {
         } else {
             tracks.iter().map(|t| t.utilization).sum::<f64>() / tracks.len() as f64
         };
-        StreamAnalysis {
+        Analysis {
             attribution: self.attribution,
             total: self.total,
             segment_count: self.segment_count,
@@ -358,47 +381,11 @@ impl StreamAnalyzer {
     }
 }
 
-/// The streaming analysis result: everything [`crate::Analysis`] reports,
-/// without the per-segment list (only its count survives, which is all
-/// the reports use).
-#[derive(Debug, Clone)]
-pub struct StreamAnalysis {
-    /// Critical-path cycles per category (all categories present).
-    pub attribution: BTreeMap<Category, Time>,
-    /// Total critical-path / domain cycles.
-    pub total: Time,
-    /// Number of merged critical-path segments.
-    pub segment_count: usize,
-    /// Per-track utilization and top-k bottlenecks.
-    pub utilization: UtilizationReport,
-    /// Peak buffered spans — the analyzer's memory high-water mark.
-    pub peak_pending_spans: usize,
-}
-
-impl StreamAnalysis {
-    /// The combined flat metric view; equals
-    /// [`crate::Analysis::metrics`] for the same trace.
-    pub fn metrics(&self) -> BTreeMap<String, f64> {
-        let mut out = attribution_metrics(&self.attribution, self.total);
-        out.extend(self.utilization.metrics());
-        out
-    }
-
-    /// The full deterministic text report; equals
-    /// [`crate::Analysis::render`] for the same trace.
-    pub fn render(&self) -> String {
-        format!(
-            "{}\n{}",
-            render_attribution_table(&self.attribution, self.total, self.segment_count),
-            self.utilization.render_table()
-        )
-    }
-}
-
 /// Streams a JSONL trace file through a [`StreamAnalyzer`]
 /// (top-[`crate::TOP_K`] bottlenecks). Epoch-order violations surface as
-/// `InvalidData` errors; callers can fall back to batch analysis.
-pub fn analyze_jsonl(path: &Path) -> io::Result<StreamAnalysis> {
+/// `InvalidData` errors; callers can fall back to
+/// [`crate::Analysis::of_trace`].
+pub fn analyze_jsonl(path: &Path) -> io::Result<Analysis> {
     let mut an = StreamAnalyzer::new(crate::TOP_K);
     for ev in jsonl_events(path)? {
         an.event(&ev?)
@@ -410,12 +397,10 @@ pub fn analyze_jsonl(path: &Path) -> io::Result<StreamAnalysis> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Analysis;
-    use wmpt_obs::Tracer;
 
     /// Replays an in-memory tracer through the streaming analyzer, in
     /// the order the events would appear on a JSONL stream.
-    fn stream_of(trace: &Tracer) -> StreamAnalysis {
+    fn stream_of(trace: &Tracer) -> Analysis {
         let mut an = StreamAnalyzer::new(crate::TOP_K);
         for (tid, name) in trace.tracks().iter().enumerate() {
             an.event(&TraceEvent::Track {
@@ -437,12 +422,12 @@ mod tests {
         an.finish()
     }
 
-    fn assert_matches_batch(trace: &Tracer) -> StreamAnalysis {
+    fn assert_matches_batch(trace: &Tracer) -> Analysis {
         let batch = Analysis::of_trace(trace);
         let stream = stream_of(trace);
         assert_eq!(stream.metrics(), batch.metrics(), "metrics diverge");
         assert_eq!(stream.render(), batch.render(), "report diverges");
-        assert_eq!(stream.segment_count, batch.critical_path.segments.len());
+        assert_eq!(stream.segment_count, batch.segment_count);
         stream
     }
 

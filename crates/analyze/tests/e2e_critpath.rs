@@ -4,7 +4,7 @@
 //! after a full Chrome-trace export → parse round trip, which is the
 //! `mpt_sim analyze --trace-in` path.
 
-use wmpt_analyze::{Analysis, Category, CriticalPath};
+use wmpt_analyze::{Analysis, Category};
 use wmpt_core::config::SystemConfig;
 use wmpt_core::exec::SystemModel;
 use wmpt_core::observe::{simulate_layer_with_observed, simulate_network_observed};
@@ -25,15 +25,16 @@ fn critical_path_total_equals_simulated_cycles() {
         ClusterConfig::new(4, 4),
         &mut obs,
     );
-    let cp = CriticalPath::extract(&obs.trace);
-    assert_eq!(cp.total, res.total_cycles().round() as u64);
-    let attr = cp.attribution();
-    assert_eq!(attr.values().sum::<Time>(), cp.total);
+    let a = Analysis::of_trace(&obs.trace);
+    assert_eq!(a.total, res.total_cycles().round() as u64);
+    let attr = &a.attribution;
+    assert_eq!(attr.values().sum::<Time>(), a.total);
     // Something other than pure compute shows up on the path.
     assert!(attr[&Category::TileComm] > 0 || attr[&Category::Collective] > 0);
+    let metrics = a.metrics();
     let shares: f64 = Category::ALL
         .iter()
-        .map(|c| cp.metrics()[&format!("critpath.share.{}", c.name())])
+        .map(|c| metrics[&format!("critpath.share.{}", c.name())])
         .sum();
     assert!((shares - 1.0).abs() < 1e-9, "shares sum to {shares}");
 }
@@ -55,11 +56,8 @@ fn analysis_survives_chrome_trace_round_trip() {
         Tracer::from_chrome_trace(&json::parse(&text).expect("parse")).expect("trace re-parses");
     let direct = Analysis::of_trace(&obs.trace);
     let reparsed = Analysis::of_trace(&back);
-    assert_eq!(direct.critical_path.total, reparsed.critical_path.total);
-    assert_eq!(
-        direct.critical_path.attribution(),
-        reparsed.critical_path.attribution()
-    );
+    assert_eq!(direct.total, reparsed.total);
+    assert_eq!(direct.attribution, reparsed.attribution);
     assert_eq!(direct.render(), reparsed.render());
 }
 
@@ -69,11 +67,11 @@ fn network_trace_attributes_across_layers() {
     let net = wmpt_models::resnet34();
     let mut obs = Observer::new();
     let r = simulate_network_observed(&m, &net, SystemConfig::WMpPD, &mut obs);
-    let cp = CriticalPath::extract(&obs.trace);
+    let a = Analysis::of_trace(&obs.trace);
     // Layer windows tile back to back, so the path covers the whole run.
     let expect: f64 = r.layers.iter().map(|l| l.total_cycles().round()).sum();
-    assert_eq!(cp.total as f64, expect);
-    let attr = cp.attribution();
-    assert_eq!(attr.values().sum::<Time>(), cp.total);
+    assert_eq!(a.total as f64, expect);
+    let attr = &a.attribution;
+    assert_eq!(attr.values().sum::<Time>(), a.total);
     assert!(attr[&Category::Ndp] > 0);
 }

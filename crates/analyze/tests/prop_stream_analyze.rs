@@ -2,9 +2,10 @@
 //! harness: for random epoch-structured traces (back-to-back layer
 //! windows with arbitrary worker/NoC/collective spans inside each,
 //! including window-overflowing tails, zero-length spans, and traces
-//! with no layer windows at all), the single-pass JSONL analyzer
-//! produces exactly the batch [`Analysis`] — same flat metrics, same
-//! rendered report.
+//! with no layer windows at all), the chunked single-pass JSONL analysis
+//! equals the batch [`Analysis::of_trace`], which runs the same engine
+//! over the whole trace as one chunk — same flat metrics, same rendered
+//! report.
 //!
 //! Failures shrink toward the fewest epochs/spans and the smallest
 //! cycle values, and replay via `WMPT_CHECK_REPLAY`.

@@ -24,9 +24,10 @@
 //!
 //! Besides the baseline rows, the gate runs a baseline-free
 //! [`streaming_differential`] row: the obs-report trace replayed through
-//! the streaming JSONL sink and the single-pass analyzer must reproduce
-//! the in-memory chrome export byte-for-byte and the batch analysis
-//! report exactly, with the sink's peak buffer inside its byte budget.
+//! the streaming JSONL sink and the chunked single-pass analysis must
+//! reproduce the in-memory chrome export byte-for-byte and the batch
+//! (whole trace as one chunk) analysis report exactly, with the sink's
+//! peak buffer inside its byte budget.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -212,10 +213,13 @@ fn load_baseline(path: &Path) -> Result<Baseline, String> {
 const STREAM_BUDGET: usize = 1024;
 
 /// Replays the deterministic obs-report trace through the streaming
-/// JSONL sink and the single-pass analyzer, then diffs both against the
-/// in-memory path: the chrome exports must be byte-identical, the
-/// analysis reports equal, and the sink's peak buffer within
-/// [`STREAM_BUDGET`]. `Err` carries the first divergence.
+/// JSONL sink and the analyzer chunk by chunk, then diffs both against
+/// the in-memory path: the chrome exports must be byte-identical, the
+/// chunked analysis must equal the single-chunk [`Analysis::of_trace`],
+/// and the sink's peak buffer must stay within [`STREAM_BUDGET`]. `Err`
+/// carries the first divergence.
+///
+/// [`Analysis::of_trace`]: wmpt_analyze::Analysis::of_trace
 pub fn streaming_differential() -> Result<(), String> {
     use wmpt_analyze::{analyze_jsonl, Analysis};
     use wmpt_obs::{SpanSink, StreamingTracer};

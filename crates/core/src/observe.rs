@@ -29,7 +29,7 @@ use wmpt_noc::{
 use wmpt_obs::{MetricKey, Observer, SpanSink, TrackId};
 
 use crate::config::SystemConfig;
-use crate::exec::{simulate_layer_with, simulate_layer_with_detail, LayerResult, SystemModel};
+use crate::exec::{simulate_layer, simulate_layer_with_detail, LayerResult, SystemModel};
 use wmpt_models::ConvLayerSpec;
 
 /// Observed [`crate::exec::simulate_layer`]: identical result, plus spans
@@ -41,21 +41,14 @@ pub fn simulate_layer_observed<S: SpanSink>(
     sys: SystemConfig,
     obs: &mut Observer<S>,
 ) -> LayerResult {
-    let mut best: Option<(ClusterConfig, f64)> = None;
-    for cfg in sys.candidate_configs(model.workers) {
-        let r = simulate_layer_with(model, layer, sys, cfg);
-        if best.as_ref().is_none_or(|(_, c)| r.total_cycles() < *c) {
-            best = Some((cfg, r.total_cycles()));
-        }
-    }
-    let (cfg, _) = best.expect("candidate_configs is never empty");
+    let cfg = simulate_layer(model, layer, sys).cluster;
     simulate_layer_with_observed(model, layer, sys, cfg, obs)
 }
 
-/// Observed [`simulate_layer_with`]: identical result, plus spans and
-/// metrics. Spans start at the tracer's current `layer`-category extent,
-/// so successive layers of a network lay out back to back on the
-/// timeline.
+/// Observed [`crate::exec::simulate_layer_with`]: identical result, plus
+/// spans and metrics. Spans start at the tracer's current
+/// `layer`-category extent, so successive layers of a network lay out
+/// back to back on the timeline.
 pub fn simulate_layer_with_observed<S: SpanSink>(
     model: &SystemModel,
     layer: &ConvLayerSpec,
@@ -282,7 +275,6 @@ fn lay_stages<S: SpanSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::simulate_layer;
     use wmpt_models::table2_layers;
     use wmpt_obs::TrafficClass;
 

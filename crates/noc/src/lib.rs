@@ -64,9 +64,7 @@ pub use flit::{
 };
 pub use mapping::{DegradedMapping, DegradedRing, PhysicalMapping};
 pub use network::{bottleneck_phase, PacketNetwork, PhaseTime};
-pub use observe::{
-    record_flows, record_network, ring_collective_cycles_observed, tile_transfer_phase_observed,
-};
+pub use observe::{record_flows, ring_collective_cycles_observed};
 pub use params::{LinkKind, NocParams};
 pub use tile_transfer::{
     all_to_all_flows, simulate_all_to_all, tile_pair_bytes, tile_transfer_phase,

@@ -28,7 +28,6 @@ pub struct PacketNetwork {
     params: NocParams,
     links: HashMap<(usize, usize), ResourceTimeline>,
     bytes_on_wire: u64,
-    packets_injected: u64,
 }
 
 impl PacketNetwork {
@@ -39,7 +38,6 @@ impl PacketNetwork {
             params,
             links: HashMap::new(),
             bytes_on_wire: 0,
-            packets_injected: 0,
         }
     }
 
@@ -80,7 +78,6 @@ impl PacketNetwork {
         let hop_lat = self.params.hop_latency();
         let wire = self.params.wire_bytes(bytes as usize, real_packet) as u64;
         self.bytes_on_wire += wire * route.len() as u64;
-        self.packets_injected += bytes.div_ceil(real_packet as u64);
         let sim_packet = sim_packet.max(real_packet) as u64;
         let n_pkts = wire.div_ceil(sim_packet);
         let mut done = ready;
@@ -119,17 +116,6 @@ impl PacketNetwork {
     /// Total wire bytes × hops transported (for energy accounting).
     pub fn bytes_hops(&self) -> u64 {
         self.bytes_on_wire
-    }
-
-    /// Real packets injected so far (headers are charged per real packet;
-    /// observability counter, exported per traffic class).
-    pub fn packets_injected(&self) -> u64 {
-        self.packets_injected
-    }
-
-    /// Flit-hops transported so far for a given flit width in bytes.
-    pub fn flit_hops(&self, flit_bytes: usize) -> u64 {
-        self.bytes_on_wire.div_ceil(flit_bytes.max(1) as u64)
     }
 
     /// Sum of busy cycles over all links.

@@ -12,9 +12,7 @@ use wmpt_sim::Time;
 
 use crate::collective::ring_collective_cycles;
 use crate::flit::FlitConfig;
-use crate::network::{bottleneck_phase, PacketNetwork, PhaseTime};
 use crate::params::NocParams;
-use crate::tile_transfer::{all_to_all_flows, tile_pair_bytes};
 use crate::topology::Topology;
 
 /// Records the traffic of a flow list under `class`: real packets
@@ -45,43 +43,6 @@ pub fn record_flows(
     // A completed bulk-synchronous phase delivers everything it injects.
     reg.inc(MetricKey::FlitsDelivered(class), flits);
     reg.inc(MetricKey::BytesOnWire(class), wire_hops);
-}
-
-/// Observed [`crate::tile_transfer::tile_transfer_phase`]: same
-/// [`PhaseTime`], plus per-class packet/flit/byte counters, a tile-pair
-/// payload histogram sample, and the bottleneck-link utilization gauge.
-pub fn tile_transfer_phase_observed(
-    cluster: &Topology,
-    params: &NocParams,
-    cluster_tile_bytes: u64,
-    n_g: usize,
-    class: TrafficClass,
-    reg: &mut MetricRegistry,
-) -> PhaseTime {
-    let pair = tile_pair_bytes(cluster_tile_bytes, n_g);
-    let nodes: Vec<usize> = (0..cluster.len()).collect();
-    let flows = all_to_all_flows(&nodes, pair);
-    let ph = bottleneck_phase(cluster, params, &flows, params.packet_bytes);
-    record_flows(reg, params, cluster, &flows, class);
-    if pair > 0 {
-        reg.observe(MetricKey::HistTilePairBytes, pair as f64);
-    }
-    if ph.cycles > 0.0 {
-        // Serialization share of the phase on the most-loaded link; the
-        // remainder is pipeline (hop) latency.
-        let mut ser = 0.0f64;
-        for &(src, dst, payload) in &flows {
-            if src == dst || payload == 0 {
-                continue;
-            }
-            for e in &cluster.route(src, dst) {
-                let bw = cluster.link_kind(e.from, e.to).bytes_per_cycle();
-                ser = ser.max(ph.max_link_bytes / bw);
-            }
-        }
-        reg.set_gauge(MetricKey::NocMaxLinkUtilization, (ser / ph.cycles).min(1.0));
-    }
-    ph
 }
 
 /// Observed [`ring_collective_cycles`]: same closed-form result, plus
@@ -127,54 +88,9 @@ pub fn ring_collective_cycles_observed(
     cycles
 }
 
-/// Folds a [`PacketNetwork`]'s lifetime counters into the registry under
-/// one traffic class (useful after event-driven runs).
-pub fn record_network(reg: &mut MetricRegistry, net: &PacketNetwork, class: TrafficClass) {
-    let flit = FlitConfig::paper().flit_bytes;
-    reg.inc(MetricKey::PacketsInjected(class), net.packets_injected());
-    let flits = net.flit_hops(flit);
-    reg.inc(MetricKey::FlitsInjected(class), flits);
-    reg.inc(MetricKey::FlitsDelivered(class), flits);
-    reg.inc(MetricKey::BytesOnWire(class), net.bytes_hops());
-    reg.inc(MetricKey::LinkBusyCycles, net.total_link_busy());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::LinkKind;
-    use crate::tile_transfer::tile_transfer_phase;
-
-    #[test]
-    fn observed_tile_phase_matches_unobserved() {
-        let p = NocParams::paper();
-        let topo = Topology::flattened_butterfly(4, 4, LinkKind::Narrow);
-        let mut reg = MetricRegistry::new();
-        let obs = tile_transfer_phase_observed(
-            &topo,
-            &p,
-            16 << 20,
-            16,
-            TrafficClass::TileGather,
-            &mut reg,
-        );
-        let plain = tile_transfer_phase(&topo, &p, 16 << 20, 16);
-        assert_eq!(obs, plain);
-        assert!(reg.counter(MetricKey::FlitsInjected(TrafficClass::TileGather)) > 0);
-        assert_eq!(
-            reg.counter(MetricKey::FlitsInjected(TrafficClass::TileGather)),
-            reg.counter(MetricKey::FlitsDelivered(TrafficClass::TileGather))
-        );
-        // Scatter class untouched.
-        assert_eq!(
-            reg.counter(MetricKey::FlitsInjected(TrafficClass::TileScatter)),
-            0
-        );
-        let util = reg
-            .gauge(MetricKey::NocMaxLinkUtilization)
-            .expect("gauge set");
-        assert!(util > 0.0 && util <= 1.0);
-    }
 
     #[test]
     fn observed_collective_matches_unobserved() {
@@ -195,21 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn network_counters_fold_into_registry() {
-        let p = NocParams::paper();
-        let topo = Topology::ring(4, LinkKind::Full);
-        let mut net = PacketNetwork::new(topo, p);
-        net.transfer(0, 2, 4096, 0, 64, 1024);
-        let mut reg = MetricRegistry::new();
-        record_network(&mut reg, &net, TrafficClass::TileScatter);
-        assert_eq!(
-            reg.counter(MetricKey::PacketsInjected(TrafficClass::TileScatter)),
-            4096u64.div_ceil(64)
-        );
-        assert!(reg.counter(MetricKey::LinkBusyCycles) > 0);
-    }
-
-    #[test]
     fn zero_work_records_nothing() {
         let p = NocParams::paper();
         let mut reg = MetricRegistry::new();
@@ -217,8 +118,6 @@ mod tests {
             ring_collective_cycles_observed(0, 16, 60.0, &p, 0, &mut reg),
             0.0
         );
-        let topo = Topology::fully_connected(2, LinkKind::Narrow);
-        tile_transfer_phase_observed(&topo, &p, 1024, 1, TrafficClass::TileScatter, &mut reg);
-        assert!(reg.is_empty() || reg.counter(MetricKey::CollectiveCycles) == 0);
+        assert!(reg.is_empty());
     }
 }

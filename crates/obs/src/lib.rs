@@ -33,8 +33,6 @@
 //! | `noc.flits_delivered.<tc>` | counter | flits arriving at their destination per class |
 //! | `noc.packets_injected.<tc>` | counter | packets (payload + 8 B header) per class |
 //! | `noc.bytes_on_wire.<tc>` | counter | payload+header bytes per class, once per packet |
-//! | `noc.link_busy_cycles` | counter | busy cycles summed over links |
-//! | `noc.max_link_utilization` | gauge | utilization of the most-loaded link |
 //! | `tile.bytes_fwd_total` | counter | forward gather bytes before prediction |
 //! | `tile.bytes_saved_gather` | counter | bytes skipped by activation prediction |
 //! | `tile.bytes_saved_scatter` | counter | bytes skipped by zero-skip on backward |

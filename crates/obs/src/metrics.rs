@@ -62,11 +62,6 @@ pub enum MetricKey {
     /// Payload + header bytes crossing links for a traffic class,
     /// counted once per packet (not per hop).
     BytesOnWire(TrafficClass),
-    /// Sum of busy cycles over all links (for link-energy cross-checks).
-    LinkBusyCycles,
-    /// Gauge: utilization of the most-loaded link in `[0, 1]` over the
-    /// phase that set it.
-    NocMaxLinkUtilization,
 
     // --- Tile transfer & activation prediction (counter) ---
     /// Tile bytes that would move in the forward gather without
@@ -245,8 +240,6 @@ impl MetricKey {
             keys.push(MetricKey::BytesOnWire(tc));
         }
         keys.extend([
-            MetricKey::LinkBusyCycles,
-            MetricKey::NocMaxLinkUtilization,
             MetricKey::TileBytesFwdTotal,
             MetricKey::TileBytesSavedGather,
             MetricKey::TileBytesSavedScatter,
@@ -317,8 +310,6 @@ impl MetricKey {
             MetricKey::FlitsDelivered(tc) => format!("noc.flits_delivered.{}", tc.name()),
             MetricKey::PacketsInjected(tc) => format!("noc.packets_injected.{}", tc.name()),
             MetricKey::BytesOnWire(tc) => format!("noc.bytes_on_wire.{}", tc.name()),
-            MetricKey::LinkBusyCycles => "noc.link_busy_cycles".to_string(),
-            MetricKey::NocMaxLinkUtilization => "noc.max_link_utilization".to_string(),
             MetricKey::TileBytesFwdTotal => "tile.bytes_fwd_total".to_string(),
             MetricKey::TileBytesSavedGather => "tile.bytes_saved_gather".to_string(),
             MetricKey::TileBytesSavedScatter => "tile.bytes_saved_scatter".to_string(),
@@ -896,11 +887,11 @@ mod tests {
     fn table_lists_every_metric() {
         let mut r = MetricRegistry::new();
         r.inc(MetricKey::CollectiveCycles, 7);
-        r.set_gauge(MetricKey::NocMaxLinkUtilization, 0.75);
+        r.set_gauge(MetricKey::SystolicUtilization, 0.75);
         r.observe(MetricKey::HistPhaseCycles, 42.0);
         let table = r.render_table();
         assert!(table.contains("coll.total_cycles"));
-        assert!(table.contains("noc.max_link_utilization"));
+        assert!(table.contains("ndp.systolic_utilization"));
         assert!(table.contains("hist.phase_cycles"));
     }
 }

@@ -27,10 +27,10 @@
 use crate::json;
 use crate::metrics::{MetricKey, MetricRegistry};
 use crate::trace::{
-    parse_trace_event, span_complete_event, track_meta_event, OpenSpan, Span, SpanSink, TraceEvent,
+    parse_trace_event, span_complete_event, track_meta_event, Span, SpanCore, SpanSink, TraceEvent,
     Tracer, TrackId,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -77,10 +77,7 @@ pub struct StreamingTracer<W: Write> {
     path: Option<PathBuf>,
     budget: usize,
     buf: String,
-    tracks: Vec<String>,
-    open: Vec<Vec<OpenSpan>>,
-    cat_cycles: BTreeMap<String, Time>,
-    last_end: Time,
+    core: SpanCore,
     stats: StreamStats,
     io_error: Option<io::Error>,
 }
@@ -90,7 +87,7 @@ impl<W: Write> std::fmt::Debug for StreamingTracer<W> {
         f.debug_struct("StreamingTracer")
             .field("path", &self.path)
             .field("budget", &self.budget)
-            .field("tracks", &self.tracks.len())
+            .field("tracks", &self.core.tracks().len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -136,10 +133,7 @@ impl<W: Write> StreamingTracer<W> {
             path: None,
             budget,
             buf: String::new(),
-            tracks: Vec::new(),
-            open: Vec::new(),
-            cat_cycles: BTreeMap::new(),
-            last_end: 0,
+            core: SpanCore::default(),
             stats: StreamStats::default(),
             io_error: None,
         }
@@ -160,14 +154,7 @@ impl<W: Write> StreamingTracer<W> {
     /// The latest timestamp seen (max over closed ends and open starts),
     /// where `finish` auto-closes — mirrors [`Tracer::last_timestamp`].
     pub fn last_timestamp(&self) -> Time {
-        let open = self
-            .open
-            .iter()
-            .flatten()
-            .map(|o| o.start)
-            .max()
-            .unwrap_or(0);
-        self.last_end.max(open)
+        self.core.last_timestamp()
     }
 
     /// Auto-closes still-open spans at [`StreamingTracer::last_timestamp`]
@@ -176,23 +163,8 @@ impl<W: Write> StreamingTracer<W> {
     /// stats. The first I/O error from anywhere in the sink's life is
     /// returned here.
     pub fn finish(mut self) -> io::Result<(W, StreamStats)> {
-        let last = self.last_timestamp();
-        let mut auto = Vec::new();
-        for (tid, stack) in self.open.iter().enumerate() {
-            for o in stack.iter().rev() {
-                auto.push(Span {
-                    track: TrackId::new(tid),
-                    cat: o.cat.clone(),
-                    name: o.name.clone(),
-                    start: o.start,
-                    end: last,
-                });
-            }
-        }
-        self.open.iter_mut().for_each(Vec::clear);
-        for sp in &auto {
-            self.emit_line(&span_complete_event(sp).render());
-            self.stats.spans_emitted += 1;
+        for sp in self.core.auto_closed() {
+            self.emit_span(&sp);
             self.stats.truncated_spans += 1;
         }
         self.flush_buf();
@@ -203,6 +175,11 @@ impl<W: Write> StreamingTracer<W> {
             Some(e) => Err(e),
             None => Ok((self.out, self.stats)),
         }
+    }
+
+    fn emit_span(&mut self, sp: &Span) {
+        self.emit_line(&span_complete_event(sp).render());
+        self.stats.spans_emitted += 1;
     }
 
     fn emit_line(&mut self, line: &str) {
@@ -242,76 +219,33 @@ impl<W: Write> StreamingTracer<W> {
 
 impl<W: Write> SpanSink for StreamingTracer<W> {
     fn track(&mut self, name: &str) -> TrackId {
-        if let Some(i) = self.tracks.iter().position(|t| t == name) {
-            return TrackId::new(i);
+        let (track, fresh) = self.core.track(name);
+        if fresh {
+            self.emit_line(&track_meta_event(track.index(), name).render());
         }
-        self.tracks.push(name.to_string());
-        self.open.push(Vec::new());
-        let tid = self.tracks.len() - 1;
-        self.emit_line(&track_meta_event(tid, name).render());
-        TrackId::new(tid)
+        track
     }
 
     fn span(&mut self, track: TrackId, cat: &str, name: &str, start: Time, end: Time) {
-        assert!(end >= start, "span '{name}' ends before it starts");
-        assert!(track.index() < self.tracks.len(), "unknown track");
-        *self.cat_cycles.entry(cat.to_string()).or_insert(0) += end - start;
-        self.last_end = self.last_end.max(end);
-        let sp = Span {
-            track,
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-            end,
-        };
-        self.emit_line(&span_complete_event(&sp).render());
-        self.stats.spans_emitted += 1;
+        let sp = self.core.close(track, cat, name, start, end);
+        self.emit_span(&sp);
     }
 
     fn begin(&mut self, track: TrackId, cat: &str, name: &str, start: Time) {
-        assert!(track.index() < self.tracks.len(), "unknown track");
-        self.open[track.index()].push(OpenSpan {
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-        });
+        self.core.begin(track, cat, name, start);
     }
 
     fn end(&mut self, track: TrackId, end: Time) {
-        let open = self.open[track.index()]
-            .pop()
-            .expect("end() without matching begin()");
-        self.span(
-            track,
-            &open.cat.clone(),
-            &open.name.clone(),
-            open.start,
-            end,
-        );
+        let sp = self.core.end(track, end);
+        self.emit_span(&sp);
     }
 
     fn open_spans(&self) -> usize {
-        self.open.iter().map(Vec::len).sum()
+        self.core.open_spans()
     }
 
     fn category_cycles(&self, cat: &str) -> Time {
-        self.cat_cycles.get(cat).copied().unwrap_or(0)
-    }
-
-    fn append_offset(&mut self, other: &Tracer, offset: Time) {
-        // Same semantics as Tracer::append_offset: tracks registered by
-        // name in other's order (even when spanless), completed spans
-        // shifted by offset, open spans not carried over.
-        let map: Vec<TrackId> = other.tracks().iter().map(|n| self.track(n)).collect();
-        for sp in other.spans() {
-            self.span(
-                map[sp.track.index()],
-                &sp.cat,
-                &sp.name,
-                sp.start + offset,
-                sp.end + offset,
-            );
-        }
+        self.core.category_cycles(cat)
     }
 
     fn buffer_bytes(&self) -> usize {
@@ -458,33 +392,12 @@ pub fn jsonl_to_chrome(jsonl: &Path, chrome: &Path) -> io::Result<()> {
 pub fn read_trace_auto(path: &Path) -> io::Result<Tracer> {
     match detect_format(path)? {
         TraceFormat::Chrome => {
-            let text = std::fs::read_to_string(path)?;
-            let doc = json::parse(&text).map_err(invalid)?;
+            let doc = json::parse(&std::fs::read_to_string(path)?).map_err(invalid)?;
             Tracer::from_chrome_trace(&doc).map_err(invalid)
         }
         TraceFormat::Jsonl => {
-            let mut out = Tracer::new();
-            let mut by_tid: BTreeMap<usize, TrackId> = BTreeMap::new();
-            for ev in jsonl_events(path)? {
-                match ev? {
-                    TraceEvent::Track { tid, name } => {
-                        by_tid.insert(tid, out.track(&name));
-                    }
-                    TraceEvent::Span {
-                        tid,
-                        cat,
-                        name,
-                        start,
-                        end,
-                    } => {
-                        let track = *by_tid
-                            .get(&tid)
-                            .ok_or_else(|| invalid(format!("span on unregistered tid {tid}")))?;
-                        out.span(track, &cat, &name, start, end);
-                    }
-                }
-            }
-            Ok(out)
+            let events = jsonl_events(path)?.collect::<io::Result<Vec<_>>>()?;
+            Tracer::from_events(&events).map_err(invalid)
         }
     }
 }

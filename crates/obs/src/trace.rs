@@ -51,10 +51,10 @@ impl Span {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct OpenSpan {
-    pub(crate) cat: String,
-    pub(crate) name: String,
-    pub(crate) start: Time,
+struct OpenSpan {
+    cat: String,
+    name: String,
+    start: Time,
 }
 
 /// The `ph:"M"` `thread_name` metadata event naming a track.
@@ -167,12 +167,15 @@ pub fn parse_trace_event(e: &Value) -> Result<Option<TraceEvent>, String> {
             };
             let start = exact("start_cycle", "ts")?;
             let cycles = exact("cycles", "dur")?;
+            let end = start
+                .checked_add(cycles)
+                .ok_or(format!("span '{name}': start + cycles overflows the clock"))?;
             Ok(Some(TraceEvent::Span {
                 tid,
                 cat: cat.to_string(),
                 name: name.to_string(),
                 start,
-                end: start + cycles,
+                end,
             }))
         }
         _ => Ok(None),
@@ -201,26 +204,170 @@ pub trait SpanSink {
     fn open_spans(&self) -> usize;
     /// Running total of cycles recorded under `cat` (closed spans only).
     fn category_cycles(&self, cat: &str) -> Time;
-    /// Appends every track and span of an in-memory tracer, shifting
-    /// span times by `offset` cycles. See [`Tracer::append_offset`].
-    fn append_offset(&mut self, other: &Tracer, offset: Time);
+    /// Appends every track and span of `other`, shifting span times by
+    /// `offset` cycles. Tracks are matched (or registered) by name in
+    /// `other`'s registration order, so appending per-run tracers in run
+    /// order reproduces the trace a single serial sink would have
+    /// recorded with runs laid back to back.
+    ///
+    /// Edge semantics, relied on by multi-grid trace concatenation:
+    ///
+    /// * An empty `other` (no tracks) is a complete no-op.
+    /// * `other`'s tracks are registered even when they carry no spans —
+    ///   a grid that stayed idle still contributes its track layout.
+    /// * Track names shared between `self` and `other` merge onto one
+    ///   track (spans interleave on it); names unique to `other` are
+    ///   appended after `self`'s existing tracks in `other`'s
+    ///   registration order.
+    /// * `other`'s open (unclosed) spans are *not* carried over — only
+    ///   completed spans move; close them (or let the export auto-close
+    ///   them) on the source tracer first.
+    fn append_offset(&mut self, other: &Tracer, offset: Time) {
+        let map: Vec<TrackId> = other.tracks().iter().map(|n| self.track(n)).collect();
+        for sp in other.spans() {
+            self.span(
+                map[sp.track.0],
+                &sp.cat,
+                &sp.name,
+                sp.start + offset,
+                sp.end + offset,
+            );
+        }
+    }
     /// Bytes of span data currently resident in host memory. For the
     /// in-memory tracer this grows with every span; a streaming sink
     /// keeps it under its configured budget.
     fn buffer_bytes(&self) -> usize;
 }
 
+/// The bookkeeping every [`SpanSink`] shares: track registration, the
+/// per-track open-span stacks, running per-category cycle totals, the
+/// last timestamp, and the auto-close rule. The sinks differ only in
+/// what they do with a closed span — keep it, or render it to a line.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpanCore {
+    tracks: Vec<String>,
+    open: Vec<Vec<OpenSpan>>,
+    cat_cycles: BTreeMap<String, Time>,
+    last_end: Time,
+}
+
+impl SpanCore {
+    /// Looks up `name`, registering it if new; the flag is `true` for a
+    /// fresh registration.
+    pub(crate) fn track(&mut self, name: &str) -> (TrackId, bool) {
+        if let Some(i) = self.tracks.iter().position(|t| t == name) {
+            return (TrackId(i), false);
+        }
+        self.tracks.push(name.to_string());
+        self.open.push(Vec::new());
+        (TrackId(self.tracks.len() - 1), true)
+    }
+
+    pub(crate) fn tracks(&self) -> &[String] {
+        &self.tracks
+    }
+
+    /// Accounts a completed span and returns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end < start` or the track is unknown.
+    pub(crate) fn close(
+        &mut self,
+        track: TrackId,
+        cat: &str,
+        name: &str,
+        start: Time,
+        end: Time,
+    ) -> Span {
+        assert!(end >= start, "span '{name}' ends before it starts");
+        assert!(track.0 < self.tracks.len(), "unknown track");
+        *self.cat_cycles.entry(cat.to_string()).or_insert(0) += end - start;
+        self.last_end = self.last_end.max(end);
+        Span {
+            track,
+            cat: cat.to_string(),
+            name: name.to_string(),
+            start,
+            end,
+        }
+    }
+
+    pub(crate) fn begin(&mut self, track: TrackId, cat: &str, name: &str, start: Time) {
+        assert!(track.0 < self.tracks.len(), "unknown track");
+        self.open[track.0].push(OpenSpan {
+            cat: cat.to_string(),
+            name: name.to_string(),
+            start,
+        });
+    }
+
+    /// Closes the most recently opened span on `track` at `end`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no span is open on the track or `end` precedes its start.
+    pub(crate) fn end(&mut self, track: TrackId, end: Time) -> Span {
+        let open = self.open[track.0]
+            .pop()
+            .expect("end() without matching begin()");
+        self.close(track, &open.cat, &open.name, open.start, end)
+    }
+
+    pub(crate) fn open_spans(&self) -> usize {
+        self.open.iter().map(Vec::len).sum()
+    }
+
+    pub(crate) fn category_cycles(&self, cat: &str) -> Time {
+        self.cat_cycles.get(cat).copied().unwrap_or(0)
+    }
+
+    /// The maximum over closed spans' ends and open spans' starts (0 when
+    /// nothing was recorded).
+    pub(crate) fn last_timestamp(&self) -> Time {
+        let open = self
+            .open
+            .iter()
+            .flatten()
+            .map(|o| o.start)
+            .max()
+            .unwrap_or(0);
+        self.last_end.max(open)
+    }
+
+    /// Every still-open span closed at [`SpanCore::last_timestamp`], per
+    /// track in registration order, innermost (most recently opened)
+    /// first — the order repeated `end()` calls would have produced.
+    pub(crate) fn auto_closed(&self) -> Vec<Span> {
+        let last = self.last_timestamp();
+        let mut out = Vec::new();
+        for (tid, stack) in self.open.iter().enumerate() {
+            for o in stack.iter().rev() {
+                out.push(Span {
+                    track: TrackId(tid),
+                    cat: o.cat.clone(),
+                    name: o.name.clone(),
+                    start: o.start,
+                    end: last,
+                });
+            }
+        }
+        out
+    }
+}
+
 /// Records spans against named tracks and exports Chrome-trace JSON.
 ///
 /// Spans can be recorded directly with [`Tracer::span`] or bracketed with
 /// [`Tracer::begin`]/[`Tracer::end`], which nest per track (ends close the
-/// most recent open span, stack-wise).
+/// most recent open span, stack-wise). Unlike the streaming sink, the
+/// tracer keeps every closed span: the SVG and flamegraph renderers and
+/// the serve audit read them back as a slice ([`Tracer::spans`]).
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    tracks: Vec<String>,
+    core: SpanCore,
     spans: Vec<Span>,
-    open: Vec<Vec<OpenSpan>>,
-    cat_cycles: BTreeMap<String, Time>,
     span_bytes: usize,
 }
 
@@ -240,12 +387,7 @@ impl Tracer {
     /// Registers a track (Chrome thread) and returns its handle.
     /// Re-registering an existing name returns the original handle.
     pub fn track(&mut self, name: &str) -> TrackId {
-        if let Some(i) = self.tracks.iter().position(|t| t == name) {
-            return TrackId(i);
-        }
-        self.tracks.push(name.to_string());
-        self.open.push(Vec::new());
-        TrackId(self.tracks.len() - 1)
+        self.core.track(name).0
     }
 
     /// Records a completed span.
@@ -254,28 +396,19 @@ impl Tracer {
     ///
     /// Panics if `end < start` or the track is unknown.
     pub fn span(&mut self, track: TrackId, cat: &str, name: &str, start: Time, end: Time) {
-        assert!(end >= start, "span '{name}' ends before it starts");
-        assert!(track.0 < self.tracks.len(), "unknown track");
-        *self.cat_cycles.entry(cat.to_string()).or_insert(0) += end - start;
-        self.span_bytes += span_mem_bytes(cat, name);
-        self.spans.push(Span {
-            track,
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-            end,
-        });
+        let sp = self.core.close(track, cat, name, start, end);
+        self.keep(sp);
+    }
+
+    fn keep(&mut self, sp: Span) {
+        self.span_bytes += span_mem_bytes(&sp.cat, &sp.name);
+        self.spans.push(sp);
     }
 
     /// Opens a span at `start`; closed by the matching [`Tracer::end`].
     /// Opens nest per track.
     pub fn begin(&mut self, track: TrackId, cat: &str, name: &str, start: Time) {
-        assert!(track.0 < self.tracks.len(), "unknown track");
-        self.open[track.0].push(OpenSpan {
-            cat: cat.to_string(),
-            name: name.to_string(),
-            start,
-        });
+        self.core.begin(track, cat, name, start);
     }
 
     /// Closes the most recently opened span on `track` at `end`.
@@ -284,21 +417,13 @@ impl Tracer {
     ///
     /// Panics if no span is open on the track or `end` precedes its start.
     pub fn end(&mut self, track: TrackId, end: Time) {
-        let open = self.open[track.0]
-            .pop()
-            .expect("end() without matching begin()");
-        self.span(
-            track,
-            &open.cat.clone(),
-            &open.name.clone(),
-            open.start,
-            end,
-        );
+        let sp = self.core.end(track, end);
+        self.keep(sp);
     }
 
     /// Number of open (unclosed) spans across all tracks.
     pub fn open_spans(&self) -> usize {
-        self.open.iter().map(Vec::len).sum()
+        self.core.open_spans()
     }
 
     /// All completed spans, in recording order.
@@ -308,48 +433,19 @@ impl Tracer {
 
     /// Name of a track.
     pub fn track_name(&self, track: TrackId) -> &str {
-        &self.tracks[track.0]
+        &self.core.tracks()[track.0]
     }
 
     /// All registered track names, in registration (`tid`) order.
     pub fn tracks(&self) -> &[String] {
-        &self.tracks
+        self.core.tracks()
     }
 
     /// The latest timestamp the tracer has seen: the maximum over closed
     /// spans' ends and open spans' starts (0 for an empty tracer). This
     /// is where [`Tracer::chrome_trace`] auto-closes still-open spans.
     pub fn last_timestamp(&self) -> Time {
-        let closed = self.spans.iter().map(|s| s.end).max().unwrap_or(0);
-        let open = self
-            .open
-            .iter()
-            .flatten()
-            .map(|o| o.start)
-            .max()
-            .unwrap_or(0);
-        closed.max(open)
-    }
-
-    /// Spans that [`Tracer::chrome_trace`] synthesizes for still-open
-    /// spans: each open span closed at [`Tracer::last_timestamp`], per
-    /// track in registration order, innermost (most recently opened)
-    /// first — the order repeated `end()` calls would have produced.
-    fn auto_closed(&self) -> Vec<Span> {
-        let last = self.last_timestamp();
-        let mut out = Vec::new();
-        for (tid, stack) in self.open.iter().enumerate() {
-            for o in stack.iter().rev() {
-                out.push(Span {
-                    track: TrackId(tid),
-                    cat: o.cat.clone(),
-                    name: o.name.clone(),
-                    start: o.start,
-                    end: last,
-                });
-            }
-        }
-        out
+        self.core.last_timestamp()
     }
 
     /// Builds the Chrome `trace_event` document:
@@ -364,13 +460,13 @@ impl Tracer {
     /// the count as `obs.truncated_spans`.
     pub fn chrome_trace(&self) -> Value {
         let mut events = Vec::new();
-        for (tid, name) in self.tracks.iter().enumerate() {
+        for (tid, name) in self.tracks().iter().enumerate() {
             events.push(track_meta_event(tid, name));
         }
         for sp in &self.spans {
             events.push(span_complete_event(sp));
         }
-        for sp in self.auto_closed() {
+        for sp in self.core.auto_closed() {
             events.push(span_complete_event(&sp));
         }
         json::obj(vec![
@@ -392,71 +488,60 @@ impl Tracer {
     /// in document order. Cycle times are read from the exact
     /// `args.start_cycle` / `args.cycles` payloads when present, falling
     /// back to the microsecond `ts` / `dur` fields (× 1000) — so a trace
-    /// produced by this crate round-trips bit-exactly.
+    /// produced by this crate round-trips bit-exactly. A span whose end
+    /// overflows the cycle clock is an error.
     pub fn from_chrome_trace(doc: &Value) -> Result<Tracer, String> {
         let events = doc
             .get("traceEvents")
             .and_then(Value::as_arr)
             .ok_or("missing 'traceEvents' array")?;
-        let mut tracks: Vec<(usize, String)> = Vec::new();
+        let mut decoded = Vec::new();
         for e in events {
-            if let Some(TraceEvent::Track { tid, name }) = parse_trace_event(e)? {
-                tracks.push((tid, name));
-            }
+            decoded.extend(parse_trace_event(e)?);
         }
+        Tracer::from_events(&decoded)
+    }
+
+    /// Builds a tracer from decoded trace events, the one reader behind
+    /// both on-disk formats. Track names register in ascending `tid`
+    /// order, so metadata events may sit anywhere in the input; spans
+    /// follow in event order. A span on a `tid` with no registration is
+    /// an error.
+    pub(crate) fn from_events(events: &[TraceEvent]) -> Result<Tracer, String> {
+        let mut tracks: Vec<(usize, &str)> = events
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Track { tid, name } => Some((*tid, name.as_str())),
+                TraceEvent::Span { .. } => None,
+            })
+            .collect();
         tracks.sort_by_key(|(tid, _)| *tid);
         let mut out = Tracer::new();
         let mut by_tid: BTreeMap<usize, TrackId> = BTreeMap::new();
-        for (tid, name) in &tracks {
-            by_tid.insert(*tid, out.track(name));
+        for (tid, name) in tracks {
+            by_tid.insert(tid, out.track(name));
         }
-        for e in events {
-            if let Some(TraceEvent::Span {
+        for ev in events {
+            if let TraceEvent::Span {
                 tid,
                 cat,
                 name,
                 start,
                 end,
-            }) = parse_trace_event(e)?
+            } = ev
             {
                 let track = *by_tid
-                    .get(&tid)
+                    .get(tid)
                     .ok_or(format!("span on unregistered tid {tid}"))?;
-                out.span(track, &cat, &name, start, end);
+                out.span(track, cat, name, *start, *end);
             }
         }
         Ok(out)
     }
 
-    /// Appends every track and span of `other`, shifting span times by
-    /// `offset` cycles. Tracks are matched (or registered) by name in
-    /// `other`'s registration order, so appending per-run tracers in run
-    /// order reproduces the trace a single serial tracer would have
-    /// recorded with runs laid back to back.
-    ///
-    /// Edge semantics, relied on by multi-grid trace concatenation:
-    ///
-    /// * An empty `other` (no tracks) is a complete no-op.
-    /// * `other`'s tracks are registered even when they carry no spans —
-    ///   a grid that stayed idle still contributes its track layout.
-    /// * Track names shared between `self` and `other` merge onto one
-    ///   track (spans interleave on it); names unique to `other` are
-    ///   appended after `self`'s existing tracks in `other`'s
-    ///   registration order.
-    /// * `other`'s open (unclosed) spans are *not* carried over — only
-    ///   completed spans move; close them (or let the export auto-close
-    ///   them) on the source tracer first.
+    /// [`SpanSink::append_offset`], callable without the trait in scope.
     pub fn append_offset(&mut self, other: &Tracer, offset: Time) {
-        let map: Vec<TrackId> = other.tracks.iter().map(|n| self.track(n)).collect();
-        for sp in &other.spans {
-            self.span(
-                map[sp.track.0],
-                &sp.cat,
-                &sp.name,
-                sp.start + offset,
-                sp.end + offset,
-            );
-        }
+        SpanSink::append_offset(self, other, offset);
     }
 
     /// Total cycles per `(category, name)`, with span counts, sorted by
@@ -477,7 +562,7 @@ impl Tracer {
     /// total, so the per-layer `category_cycles("layer")` base queries of
     /// network sweeps cost O(log categories) instead of O(spans).
     pub fn category_cycles(&self, cat: &str) -> Time {
-        self.cat_cycles.get(cat).copied().unwrap_or(0)
+        self.core.category_cycles(cat)
     }
 
     /// Exact per-span-duration percentiles for every `(category, name)`
@@ -573,9 +658,6 @@ impl SpanSink for Tracer {
     }
     fn category_cycles(&self, cat: &str) -> Time {
         Tracer::category_cycles(self, cat)
-    }
-    fn append_offset(&mut self, other: &Tracer, offset: Time) {
-        Tracer::append_offset(self, other, offset)
     }
     fn buffer_bytes(&self) -> usize {
         self.span_bytes
@@ -700,6 +782,20 @@ mod tests {
         let doc = crate::json::parse(&t.chrome_trace().render()).expect("parse");
         let back2 = Tracer::from_chrome_trace(&doc).expect("reparse text");
         assert_eq!(back2.spans(), t.spans());
+    }
+
+    #[test]
+    fn overflowing_span_end_is_an_error() {
+        // `as_u64` saturates 1e30 to u64::MAX; `start + cycles` used to
+        // wrap in release builds and then panic in `Tracer::span`.
+        let doc = crate::json::parse(
+            r#"{"traceEvents":[
+                {"ph":"M","name":"thread_name","tid":0,"args":{"name":"w"}},
+                {"ph":"X","name":"gemm","tid":0,"args":{"start_cycle":1e30,"cycles":1}}]}"#,
+        )
+        .expect("parse");
+        let err = Tracer::from_chrome_trace(&doc).expect_err("overflowing span");
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

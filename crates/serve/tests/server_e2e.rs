@@ -228,3 +228,55 @@ fn deeply_nested_body_is_rejected_and_server_stays_up() {
     assert_eq!(health.status, 200, "{}", health.text());
     server.shutdown();
 }
+
+/// Polls a job's status until it is terminal, failing after a deadline
+/// instead of hanging on a job no worker will ever finish.
+fn poll_terminal(addr: &str, id: &str) -> String {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let resp = http_request(addr, "GET", &format!("/api/v1/jobs/{id}"), b"").expect("status");
+        let text = resp.text().to_string();
+        if text.contains("\"done\"") || text.contains("\"failed\"") {
+            return text;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job {id} never finished: {text}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn overflowing_trace_fails_its_job_and_workers_survive() {
+    // A span whose end overflows the cycle clock used to panic the worker
+    // executing it, leaving the job running forever; two such jobs took
+    // down both default workers.
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.addr().to_string();
+    let submit_nowait = |req: &SimRequest| {
+        let body = req.to_json().render();
+        let resp = http_request(&addr, "POST", "/api/v1/jobs", body.as_bytes()).expect("submit");
+        assert_eq!(resp.status, 202, "{}", resp.text());
+        hash_hex(req.cache_key())
+    };
+    for start in ["1e30", "2e30"] {
+        let trace = format!(
+            r#"{{"traceEvents":[
+                {{"ph":"M","name":"thread_name","tid":0,"args":{{"name":"w"}}}},
+                {{"ph":"X","name":"x","cat":"ndp","tid":0,"args":{{"start_cycle":{start},"cycles":1}}}}]}}"#
+        );
+        let id = submit_nowait(&SimRequest::analyze(&trace).expect("analyze request"));
+        let status = poll_terminal(&addr, &id);
+        assert!(
+            status.contains("\"failed\"") && status.contains("overflows"),
+            "{status}"
+        );
+    }
+    let layer = SimRequest::layer("Late-2", "w_mp").expect("layer request");
+    let status = poll_terminal(&addr, &submit_nowait(&layer));
+    assert!(status.contains("\"done\""), "{status}");
+    let health = http_request(&addr, "GET", "/api/v1/healthz", b"").expect("healthz");
+    assert_eq!(health.status, 200, "{}", health.text());
+    server.shutdown();
+}
